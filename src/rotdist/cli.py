@@ -53,10 +53,13 @@ def _format_witness(seq) -> str:
 def _load_witness(path: str) -> list[tuple[int, int]]:
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    try:
-        return [(int(u), int(v)) for u, v in d["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameter(f"malformed witness file {path}: {exc}") from exc
+    edges = d.get("edges") if isinstance(d, dict) else None
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+            for e in edges):
+        raise InvalidParameter(f"malformed witness file {path}: "
+                               "needs 'edges', a list of integer pairs")
+    return [(u, v) for u, v in edges]
 
 
 def _save_witness(seq, path: str) -> None:
@@ -116,6 +119,8 @@ def _check_trees(g, items) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.k is not None and args.k < 0:
+        raise InvalidParameter(f"k must be nonnegative, got {args.k}")
     g = _load_connected_graph(args.graph)
     src = elimtree.load_tree(args.source)
     dst = elimtree.load_tree(args.target)
@@ -144,17 +149,18 @@ def cmd_distance(args) -> int:
         dist, seq = flip.bfs_witness(g, src, dst, cap=args.k)
         yes = dist is not flip.OVER_CAP
         witness = tuple(seq) if yes else None
-        dump = None
+        dec = None
     else:
         dec = fpt.fpt_decide(g, src, dst, args.k, jobs=args.jobs)
         yes, witness = dec.yes, dec.witness
-        dump = dec.to_json_dict()
     ms = (time.perf_counter() - t0) * 1000.0
 
     if args.witness_out and yes:
         _save_witness(witness, args.witness_out)
     if args.explain:
-        if dump is None:
+        if dec is not None:
+            dump = dec.to_json_dict()
+        else:
             dump = {"verdict": "YES" if yes else "NO",
                     "witness": [list(e) for e in witness] if witness is not None else None}
         dump["method"] = method
@@ -210,9 +216,17 @@ def _bench_instance(family: str, n: int, k: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise InvalidParameter(f"--sizes must list integers: {exc}") from exc
     if not sizes:
         raise InvalidParameter("--sizes must list at least one n")
+    if min(sizes) < 2:
+        raise InvalidParameter(f"--sizes needs every n >= 2, got {min(sizes)}: "
+                               "a tree on one vertex has no rotation")
+    if args.reps < 1:
+        raise InvalidParameter(f"--reps must be at least 1, got {args.reps}")
     print("family,n,k,reps,median_ms")
     for n in sizes:
         g, t, t2 = _bench_instance(args.family, n, args.k, args.seed)

@@ -56,6 +56,17 @@ class ElimTree:
         self._tin: tuple[int, ...] | None = None
         self._tout: tuple[int, ...] | None = None
 
+    @classmethod
+    def _of(cls, parent: tuple[int, ...], root: int,
+            children: tuple[tuple[int, ...], ...]) -> "ElimTree":
+        """A tree from parts known to be consistent, without checks."""
+        t = object.__new__(cls)
+        t.parent = parent
+        t.root = root
+        t._children = children
+        t._depth = t._tin = t._tout = None
+        return t
+
     @property
     def n(self) -> int:
         return len(self.parent)
@@ -250,6 +261,123 @@ def validate(g: Graph, t: ElimTree) -> bool:
     return not validity_violations(g, t)
 
 
+# The touch test: which old children of v a rotation of (u, v) moves
+# under u.  Two scans give the same answer at different costs; they run
+# in lockstep under a doubling step budget, so one test costs within a
+# constant factor of the cheaper scan.  Walking the child subtrees of v
+# is cheap when they are small; climbing from the G-neighbours of u is
+# cheap when u has few neighbours close to it, as a leaf of a star whose
+# centre has thousands of children.
+
+_FIRST_BUDGET = 16
+
+
+def _touches(adj_u, children, x: int, budget: int) -> tuple[bool, int]:
+    """Whether the subtree of x holds a vertex of adj_u, and the budget
+    left after the vertices visited (below 0 when it ran out)."""
+    stack = [x]
+    while stack:
+        budget -= 1
+        if budget < 0:
+            return False, budget
+        y = stack.pop()
+        if y in adj_u:
+            return True, budget
+        stack.extend(children[y])
+    return False, budget
+
+
+def _walk_subtrees(g: Graph, children, u: int, v: int, budget: int,
+                   movable=None, known=None) -> list[int] | None:
+    """Children of v whose subtree holds a G-neighbour of u, found by
+    walking each child subtree; None when that takes more than `budget`
+    visited vertices.
+
+    With `known`, the subtree of every vertex outside `movable` is taken
+    as fixed: whether it touches u is read from known[(vertex, u)], or
+    found once by a plain walk and stored there.
+    """
+    adj_u = g._sets[u]
+    out = []
+    for w in children[v]:
+        stack = [w]
+        while stack:
+            budget -= 1
+            if budget < 0:
+                return None
+            x = stack.pop()
+            if known is not None and x not in movable:
+                hit = known.get((x, u))
+                if hit is None:
+                    hit, budget = _touches(adj_u, children, x, budget + 1)
+                    if budget < 0:
+                        return None
+                    known[(x, u)] = hit
+                if hit:
+                    out.append(w)
+                    break
+            elif x in adj_u:
+                out.append(w)
+                break
+            else:
+                stack.extend(children[x])
+    return out
+
+
+def _climb_from_neighbours(g: Graph, parent, u: int, v: int, budget: int) -> set[int] | None:
+    """The same children, found by climbing from each G-neighbour y of u;
+    None when that takes more than `budget` steps.
+
+    Every G-neighbour of u is an ancestor or a descendant of u.  A climb
+    from y that reaches v passes through the child of v holding y; one
+    that reaches u, or an ancestor of u, shows y is not below v.  The
+    ancestors of u are found by a second climb from u, one step per step
+    of the first, so telling an ancestor apart costs its distance to u,
+    not its depth.
+    """
+    above = {u, ROOT}
+    top = u
+    out = set()
+    for y in g._sorted[u]:
+        x, below = y, ROOT
+        while True:
+            if x == v:
+                if below != ROOT:
+                    out.add(below)
+                break
+            if x in above or y in above:
+                break
+            budget -= 1
+            if budget < 0:
+                return None
+            below, x = x, parent[x]
+            if top != ROOT:
+                top = parent[top]
+                above.add(top)
+    return out
+
+
+def moved_children(g: Graph, parent, children, u: int, v: int,
+                   movable=None, known=None):
+    """Children of v whose subtree has a G-edge to u: the ones a rotation
+    of the tree edge (u, v) moves under u.
+
+    `parent` maps each vertex to its parent and `children` each vertex
+    to its children, as tuples or sets; neither is changed.  `movable`
+    and `known` are as in _walk_subtrees.
+    """
+    if not children[v]:
+        return ()
+    budget = _FIRST_BUDGET
+    while True:
+        found = _walk_subtrees(g, children, u, v, budget, movable, known)
+        if found is None:
+            found = _climb_from_neighbours(g, parent, u, v, budget)
+        if found is not None:
+            return found
+        budget *= 2
+
+
 def rotate(g: Graph, t: ElimTree, edge: RotationEdge) -> ElimTree:
     """Rotate the tree edge (u, v), where u is the parent of v.
 
@@ -264,20 +392,94 @@ def rotate(g: Graph, t: ElimTree, edge: RotationEdge) -> ElimTree:
         raise InvalidVertex(f"rotation edge ({u},{v}) out of range for n={n}")
     if t.parent[v] != u:
         raise NotATreeEdge(f"({u},{v}) is not a tree edge with parent {u}", edge=edge)
-    newpar = list(t.parent)
-    newpar[v] = t.parent[u]
+    parent = t.parent
+    kids = list(t._children)
+    moved = moved_children(g, parent, kids, u, v)
+    pu = parent[u]
+    newpar = list(parent)
+    newpar[v] = pu
     newpar[u] = v
-    adj_u = g._sets[u]
-    children = t._children
-    for w in children[v]:
-        stack = [w]
-        while stack:
-            x = stack.pop()
-            if x in adj_u:
-                newpar[w] = u
-                break
-            stack.extend(children[x])
-    return ElimTree(newpar)
+    # Only the child tuples of u, v and u's parent change; they stay sorted.
+    if pu != ROOT:
+        above = kids[pu]
+        kids[pu] = (v,) if len(above) == 1 else tuple(sorted([v if c == u else c for c in above]))
+    if moved:
+        for w in moved:
+            newpar[w] = u
+        kids[u] = tuple(sorted([c for c in kids[u] if c != v] + list(moved)))
+        kids[v] = tuple(sorted([c for c in kids[v] if c not in moved] + [u]))
+    else:
+        kids[u] = tuple([c for c in kids[u] if c != v])
+        kids[v] = tuple(sorted(kids[v] + (u,)))
+    return ElimTree._of(tuple(newpar), v if pu == ROOT else t.root, tuple(kids))
+
+
+class MutableTree:
+    """One elimination tree of g, changed in place by rotations.
+
+    `parent` is a parent list (-1 at the root) and `children[x]` holds
+    the children of x.  Only the vertices of `movable` may be rotated.
+    A rotation of (u, v) changes the child sets of u, v and u's parent
+    only, and u's parent is always movable or the parent in the first
+    tree of a movable vertex; those vertices get mutable child sets, the
+    others keep the tuples of the tree the state was built from.  The
+    rotation also changes the vertex set of no subtree but those of u
+    and v, so the subtree of every vertex outside `movable` stays fixed,
+    and the touch test remembers, per such vertex and would-be parent,
+    whether its subtree has a G-edge to it.
+    """
+
+    __slots__ = ("g", "parent", "children", "_movable", "_known")
+
+    def __init__(self, g: Graph, t: ElimTree, movable: frozenset[int]):
+        parent = t.parent
+        children: list = list(t._children)
+        for x in movable:
+            children[x] = set(children[x])
+            p = parent[x]
+            if p != ROOT and p not in movable:
+                children[p] = set(children[p])
+        self.g = g
+        self.parent = list(parent)
+        self.children = children
+        self._movable = movable
+        self._known: dict[tuple[int, int], bool] = {}
+
+    def rotate(self, u: int, v: int):
+        """Rotate the tree edge (u, v), u the parent of v, both movable
+        (not checked), as `rotate` would; return the children of v that
+        moved under u.  Only the parents of u, v and those children
+        change."""
+        moved = moved_children(self.g, self.parent, self.children, u, v,
+                               self._movable, self._known)
+        self._apply(u, v, moved)
+        return moved
+
+    def undo(self, u: int, v: int, moved) -> None:
+        """Undo `rotate(u, v)`, which returned `moved`, by the reverse
+        rotation (v, u).  That rotation moves exactly `moved` back under
+        v, since each of them has a G-edge to v and no other child of u
+        has one, so it needs no touch test."""
+        self._apply(v, u, moved)
+
+    def _apply(self, u: int, v: int, moved) -> None:
+        parent = self.parent
+        children = self.children
+        pu = parent[u]
+        parent[v] = pu
+        parent[u] = v
+        if pu != ROOT:
+            above = children[pu]
+            above.discard(u)
+            above.add(v)
+        kids_u = children[u]
+        kids_v = children[v]
+        kids_u.discard(v)
+        kids_v.add(u)
+        for w in moved:
+            parent[w] = u
+            kids_v.discard(w)
+            kids_u.add(w)
 
 
 def apply_sequence(g: Graph, t: ElimTree, seq: Iterable[RotationEdge]) -> ElimTree:
@@ -301,10 +503,14 @@ def to_json_dict(t: ElimTree) -> dict:
 
 
 def from_json_dict(d: dict) -> ElimTree:
-    try:
-        parent = [int(p) for p in d["parent"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidTree(f"malformed tree object: {exc}") from exc
+    """A tree from its JSON object; the parents must be JSON integers,
+    not floats or booleans, else InvalidTree."""
+    if not isinstance(d, dict) or not isinstance(d.get("parent"), list):
+        raise InvalidTree("malformed tree object: needs a 'parent' list")
+    parent = d["parent"]
+    for p in parent:
+        if type(p) is not int:
+            raise InvalidTree(f"malformed tree object: parent {p!r} is not an integer")
     return from_parent_vector(parent)
 
 

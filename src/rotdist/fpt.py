@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .elimtree import ROOT, ElimTree, RotationEdge, rotate
+# rotate is no longer called here; it stays importable as fpt.rotate for existing callers.
+from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, rotate  # noqa: F401
 from .errors import (
     DisconnectedGraph,
     InvalidParameter,
@@ -127,7 +128,8 @@ class Component:
 
     def children(self, v: int) -> tuple[int, ...]:
         """Children of v that stay inside the component."""
-        return tuple(c for c in self.tree.children(v) if c in self.vertices)
+        verts = self.vertices
+        return tuple([c for c in self.tree.children(v) if c in verts])
 
     def depth(self, v: int) -> int:
         """Tree distance from v up to zroot."""
@@ -452,43 +454,68 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int, *, jobs: int = 1) ->
     if reason is not None:
         return Decision(yes=False, witness=None, k=k, n=g.n, early_no=reason,
                         report=report, ball=bcb, comps=comps, stats=stats)
-    witness = _search(g, t, t2, k, marking.marked, stats)
+    witness = _search(g, t, t2, k, marking.marked, report.parent_bad, stats)
     return Decision(yes=witness is not None, witness=witness, k=k, n=g.n,
                     report=report, ball=bcb, comps=comps, table=table,
                     marking=marking, stats=stats)
 
 
-def _search(g: Graph, t: ElimTree, t2: ElimTree, k: int,
-            marked: frozenset[int], stats: dict) -> tuple[RotationEdge, ...] | None:
-    """Iterative-deepening search over rotations inside the marked set."""
+def _search(g: Graph, t: ElimTree, t2: ElimTree, k: int, marked: frozenset[int],
+            parent_bad: frozenset[int], stats: dict) -> tuple[RotationEdge, ...] | None:
+    """Iterative-deepening search over rotations inside the marked set.
+
+    The search walks one mutable copy of t, applying each rotation in
+    place and undoing it by the reverse rotation, so a node costs the
+    rotation's touch test, not a copy of the tree.  `diff` maps each
+    vertex whose parent differs from t to its parent: it names the
+    current tree exactly, as its parent vector would, and changes only
+    where a rotation changes a parent.  Frozen, it is the memo key; the
+    target is reached when it equals t2's difference from t, which
+    lies on `parent_bad`, the vertices whose parents differ.
+    """
     m_list = sorted(marked)
-    target = t2.parent
+    source = t.parent
+    goal = {x: t2.parent[x] for x in parent_bad}
+    tree = MutableTree(g, t, marked)
+    parent = tree.parent
+    diff: dict[int, int] = {}
     seq: list[RotationEdge] = []
 
-    def dfs(tree: ElimTree, budget: int, memo: dict) -> bool:
+    def note(u: int, v: int, moved) -> None:
+        """Record in diff the parents of u, v and moved, just changed."""
+        for x in (u, v, *moved):
+            p = parent[x]
+            if p == source[x]:
+                del diff[x]
+            else:
+                diff[x] = p
+
+    def dfs(budget: int, memo: dict) -> bool:
         stats["nodes_expanded"] += 1
-        if tree.parent == target:
+        if diff == goal:
             return True
         if budget == 0:
             return False
-        if memo.get(tree.parent, 0) >= budget:
+        key = frozenset(diff.items())
+        if memo.get(key, 0) >= budget:
             stats["memo_hits"] += 1
             return False
-        parent = tree.parent
         for v in m_list:
             u = parent[v]
             if u == ROOT or u not in marked:
                 continue
+            moved = tree.rotate(u, v)
+            note(u, v, moved)
             seq.append((u, v))
-            if dfs(rotate(g, tree, (u, v)), budget - 1, memo):
+            if dfs(budget - 1, memo):
                 return True
             seq.pop()
-        memo[tree.parent] = budget
+            tree.undo(u, v, moved)
+            note(u, v, moved)
+        memo[key] = budget
         return False
 
     for budget in range(1, k + 1):
-        memo: dict = {}
-        if dfs(t, budget, memo):
+        if dfs(budget, {}):
             return tuple(seq)
-        seq.clear()
     return None

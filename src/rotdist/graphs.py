@@ -186,12 +186,24 @@ def to_json_dict(g: Graph) -> dict:
 
 
 def from_json_dict(d: dict) -> Graph:
-    try:
-        n = int(d["n"])
-        raw = d["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameter(f"malformed graph object: {exc}") from exc
-    names = tuple(str(x) for x in d["names"]) if "names" in d else None
+    """A graph from its JSON object; anything malformed raises
+    InvalidParameter (or InvalidVertex for an unknown vertex name).
+
+    n and numeric vertices must be JSON integers, not floats or
+    booleans; edges must be a list of pairs and names a list.
+    """
+    if not isinstance(d, dict) or "n" not in d or "edges" not in d:
+        raise InvalidParameter("malformed graph object: needs keys 'n' and 'edges'")
+    n, raw = d["n"], d["edges"]
+    if type(n) is not int:
+        raise InvalidParameter(f"malformed graph object: n must be an integer, got {n!r}")
+    if not isinstance(raw, list):
+        raise InvalidParameter(f"malformed graph object: edges must be a list, got {raw!r}")
+    names = None
+    if "names" in d:
+        if not isinstance(d["names"], list):
+            raise InvalidParameter(f"malformed graph object: names must be a list, got {d['names']!r}")
+        names = tuple(str(x) for x in d["names"])
     index = {name: i for i, name in enumerate(names)} if names else {}
 
     def resolve(x) -> int:
@@ -199,9 +211,15 @@ def from_json_dict(d: dict) -> Graph:
             if x not in index:
                 raise InvalidVertex(f"unknown vertex name {x!r}")
             return index[x]
-        return int(x)
+        if type(x) is not int:
+            raise InvalidParameter(f"malformed graph object: vertex {x!r} is not an integer or a name")
+        return x
 
-    edges = [(resolve(u), resolve(v)) for u, v in raw]
+    edges = []
+    for e in raw:
+        if not isinstance(e, list) or len(e) != 2:
+            raise InvalidParameter(f"malformed graph object: edge {e!r} is not a pair")
+        edges.append((resolve(e[0]), resolve(e[1])))
     return Graph(n, edges, names)
 
 

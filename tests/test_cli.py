@@ -220,3 +220,55 @@ def test_malformed_json_file(tmp_path, capsys):
 def test_missing_file(capsys):
     assert main(["diameter", "-g", "/no/such/file.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["fpt", "bfs", "auto"])
+def test_distance_negative_k_is_invalid_under_every_method(p3, method, capsys):
+    for target in ("chain", "rev"):
+        rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3[target],
+                   "-k", "-1", "--method", method])
+        assert rc == 2
+        assert "INVALID_INPUT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--sizes", "1"], ["--sizes", "10,1"], ["--sizes", "0"],
+                                  ["--sizes", "x"], ["--sizes", "10", "--reps", "0"]])
+def test_bench_rejects_bad_arguments(args, capsys):
+    rc = main(["bench", "--family", "path", "-k", "1"] + args)
+    assert rc == 2
+    assert "INVALID_INPUT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 3, "edges": [[0, 1, 2]]},
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": [[0, 1], [1, 2]], "names": 5},
+])
+def test_distance_rejects_malformed_graph_file(p3, tmp_path, graph, capsys):
+    gpath = str(tmp_path / "bad.json")
+    with open(gpath, "w") as fh:
+        json.dump(graph, fh)
+    rc = main(["distance", "-g", gpath, "-s", p3["chain"], "-t", p3["rev"], "-k", "2"])
+    assert rc == 2
+    assert "INVALID_INPUT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parent", [[-1, 0.7, 1], [-1, True, 1]])
+def test_validate_rejects_non_integer_parents(p3, tmp_path, parent, capsys):
+    tpath = str(tmp_path / "t.json")
+    with open(tpath, "w") as fh:
+        json.dump({"parent": parent}, fh)
+    assert main(["validate", "-g", p3["graph"], "-s", tpath]) == 2
+    assert "INVALID_INPUT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("witness", [{"edges": [[0.7, 1]]}, {"edges": [[True, 1]]},
+                                     {"edges": [[0, 1, 2]]}, {"edges": 5}, [[0, 1]]])
+def test_replay_rejects_malformed_witness(p3, tmp_path, witness, capsys):
+    wpath = str(tmp_path / "w.json")
+    with open(wpath, "w") as fh:
+        json.dump(witness, fh)
+    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
+               "--replay", wpath])
+    assert rc == 2
+    assert "INVALID_INPUT" in capsys.readouterr().err

@@ -20,7 +20,16 @@ from rotdist import (
     validate,
     validity_violations,
 )
-from rotdist.elimtree import load_tree, save_tree
+from rotdist.elimtree import (
+    ElimTree,
+    MutableTree,
+    _climb_from_neighbours,
+    _walk_subtrees,
+    from_json_dict,
+    load_tree,
+    moved_children,
+    save_tree,
+)
 
 P3 = generate("path", 3)
 K3 = generate("complete", 3)
@@ -192,6 +201,101 @@ def test_rotation_moves_tree_distances_by_at_most_one():
                 assert abs(before[a][b] - after[a][b]) <= 1
 
 
+def _touching_children(g, t, u, v):
+    """Reference touch test: children of v whose subtree has a G-edge to u."""
+    return {w for w in t.children(v)
+            if any(g.has_edge(u, x) for x in t.descendants(w))}
+
+
+def _child_sets(state):
+    return [set(c) for c in state.children]
+
+
+def test_rotate_builds_consistent_trees():
+    # rotate assembles the child tuples itself; they must be the ones
+    # the constructor derives from the parent vector, root included
+    rng = random.Random(6)
+    for trial in range(300):
+        n = rng.randrange(2, 9)
+        g = generate("random_connected", n, seed=30_000 + trial, p=0.3)
+        t = random_tree(g, rng)
+        t2 = rotate(g, t, random_tree_edge(t, rng))
+        rebuilt = ElimTree(t2.parent)
+        assert t2.root == rebuilt.root
+        assert all(t2.children(x) == rebuilt.children(x) for x in range(n))
+
+
+def test_touch_test_scans_agree():
+    rng = random.Random(7)
+    for trial in range(400):
+        n = rng.randrange(2, 9)
+        g = generate("random_connected", n, seed=40_000 + trial, p=0.3)
+        t = random_tree(g, rng)
+        u, v = random_tree_edge(t, rng)
+        want = _touching_children(g, t, u, v)
+        walk = _walk_subtrees(g, t._children, u, v, n + 1)
+        climb = _climb_from_neighbours(g, t.parent, u, v, n * n + 1)
+        assert set(walk) == want
+        assert set(climb) == want
+        assert set(moved_children(g, t.parent, t._children, u, v)) == want
+        # a budget too small for a scan makes it give up, not answer wrong
+        for budget in range(n + 1):
+            for got in (_walk_subtrees(g, t._children, u, v, budget),
+                        _climb_from_neighbours(g, t.parent, u, v, budget)):
+                assert got is None or set(got) == want
+
+
+def test_rotate_in_place_matches_rotate_and_undoes():
+    rng = random.Random(8)
+    for trial in range(400):
+        n = rng.randrange(2, 9)
+        g = generate("random_connected", n, seed=50_000 + trial, p=0.3)
+        t = random_tree(g, rng)
+        u, v = random_tree_edge(t, rng)
+        state = MutableTree(g, t, frozenset(range(n)))
+        before_children = _child_sets(state)
+        moved = state.rotate(u, v)
+        assert set(moved) == _touching_children(g, t, u, v)
+        after = rotate(g, t, (u, v))
+        assert tuple(state.parent) == after.parent
+        assert _child_sets(state) == [set(after.children(x)) for x in range(n)]
+        # only u, v and the moved children change parent
+        changed = {x for x in range(n) if state.parent[x] != t.parent[x]}
+        assert changed <= {u, v, *moved}
+        assert {u, v} <= changed
+        state.undo(u, v, moved)
+        assert tuple(state.parent) == t.parent
+        assert _child_sets(state) == before_children
+        # undoing by a fresh reverse rotation is exact too
+        state.rotate(u, v)
+        assert set(state.rotate(v, u)) == set(moved)
+        assert tuple(state.parent) == t.parent
+        assert _child_sets(state) == before_children
+
+
+def test_mutable_tree_walks_match_rotate():
+    # long random walks inside a movable set, so the remembered touch
+    # answers of fixed subtrees get reused, checked step by step
+    rng = random.Random(9)
+    for trial in range(150):
+        n = rng.randrange(3, 13)
+        g = generate("random_connected", n, seed=60_000 + trial, p=0.25)
+        t = random_tree(g, rng)
+        movable = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
+        state = MutableTree(g, t, movable)
+        cur = t
+        for _ in range(25):
+            edges = [(cur.parent[x], x) for x in movable
+                     if cur.parent[x] in movable]
+            if not edges:
+                break
+            u, v = rng.choice(edges)
+            state.rotate(u, v)
+            cur = rotate(g, cur, (u, v))
+            assert tuple(state.parent) == cur.parent
+            assert _child_sets(state) == [set(cur.children(x)) for x in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # sequences
 
@@ -234,3 +338,12 @@ def test_tree_json_rejects_garbage(tmp_path):
     path.write_text('{"nope": true}')
     with pytest.raises(InvalidTree):
         load_tree(str(path))
+
+
+@pytest.mark.parametrize("parent", [[-1, 0.7, 1], [-1, True, 1], [-1, 0, "1"],
+                                    [-1, 0.0, 1], None, 5])
+def test_tree_json_rejects_non_integer_parents(parent):
+    with pytest.raises(InvalidTree):
+        from_json_dict({"parent": parent})
+    with pytest.raises(InvalidTree):
+        from_json_dict([parent])

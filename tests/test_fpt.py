@@ -4,6 +4,8 @@ import pytest
 
 from helpers import connected_graphs, random_tree
 from rotdist import (
+    OVER_CAP,
+    ROOT,
     SAME,
     WANT_ROOT,
     BadnessReport,
@@ -20,6 +22,7 @@ from rotdist import (
     components,
     compute_bcb,
     compute_marking,
+    ElimTree,
     enumerate_all,
     equals,
     fpt_decide,
@@ -398,3 +401,76 @@ def test_ball_restriction_preserves_optimal_distance():
             continue
         allowed = compute_bcb(a, classify_bad(a, b), d).vertices
         assert restricted_bfs_distance(g, a, b, allowed, cap=d) == d
+
+
+# ---------------------------------------------------------------------------
+# the search itself: pinned runs and a differential check
+
+def _stacked_star(n, leaves):
+    """Star source tree, and the target with `leaves` stacked above the
+    centre in ascending order, the smallest at the root."""
+    g = generate("star", n)
+    parent = [0] * n
+    parent[0] = leaves[-1]
+    for a, b in zip(leaves, leaves[1:]):
+        parent[b] = a
+    parent[leaves[0]] = ROOT
+    return g, from_ordering(g, list(range(n))), ElimTree(parent)
+
+
+def _path_walk():
+    g = generate("path", 80)
+    t = from_ordering(g, list(range(80)))
+    return g, t, apply_sequence(g, t, [(40, 41), (41, 42), (42, 43)])
+
+
+def _random_walk():
+    # a deep tree: a random elimination order on a sparse graph
+    g = generate("random_connected", 1000, seed=3, p=0.004)
+    order = list(range(1000))
+    random.Random(5).shuffle(order)
+    t = from_ordering(g, order)
+    return g, t, apply_sequence(g, t, [(538, 815), (538, 940)])
+
+
+# (instance, k) -> (witness, nodes_expanded, memo_hits), as recorded from
+# the search that built a new tree per node; the order in which moves
+# are tried, and the memo, must not change what the search explores.
+SEARCH_PINS = [
+    (lambda: _stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0),
+    (lambda: _stacked_star(3000, [17, 1234]), 1, None, 5, 0),
+    (lambda: _stacked_star(3000, [5, 900, 2500]), 3,
+     ((0, 5), (0, 900), (0, 2500)), 315, 4),
+    (lambda: _stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0),
+    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121),
+    (_path_walk, 2, None, 401, 0),
+    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0),
+    (_random_walk, 1, None, 13, 0),
+]
+
+
+@pytest.mark.parametrize("make,k,witness,nodes,memo_hits", SEARCH_PINS)
+def test_search_is_pinned(make, k, witness, nodes, memo_hits):
+    g, t, t2 = make()
+    dec = fpt_decide(g, t, t2, k)
+    assert dec.early_no is None
+    assert (dec.witness, dec.stats["nodes_expanded"], dec.stats["memo_hits"]) == \
+        (witness, nodes, memo_hits)
+
+
+def test_search_matches_restricted_bfs():
+    # the search is a shortest-path search over rotations inside M
+    rng = random.Random(15)
+    for trial in range(600):
+        n = rng.randrange(2, 8)
+        g = generate("random_connected", n, seed=70_000 + trial, p=0.35)
+        t, t2 = random_tree(g, rng), random_tree(g, rng)
+        k = rng.randrange(1, 4)
+        dec = fpt_decide(g, t, t2, k)
+        d = restricted_bfs_distance(g, t, t2, dec.marked, cap=k)
+        if d is OVER_CAP:
+            assert not dec.yes
+            continue
+        assert dec.yes and len(dec.witness) == d
+        assert apply_sequence(g, t, dec.witness) == t2
+        assert all(u in dec.marked and v in dec.marked for u, v in dec.witness)

@@ -155,3 +155,22 @@ def test_json_bad_inputs():
 def test_json_string_without_names_fails():
     with pytest.raises(InvalidVertex):
         from_json_dict({"n": 2, "edges": [["a", 1]]})
+
+
+@pytest.mark.parametrize("d", [
+    {"n": 3, "edges": [[0, 1, 2]]},
+    {"n": 3, "edges": [[0]]},
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": [[0, 1]], "names": 5},
+    {"n": 3, "edges": [[0, 1]], "names": "abc"},
+    {"n": 3, "edges": [[0, 1.5]]},
+    {"n": 3, "edges": [[True, 1]]},
+    {"n": 3, "edges": [5]},
+    {"n": 3.0, "edges": []},
+    {"n": "3", "edges": []},
+    {"n": True, "edges": []},
+    [3, []],
+])
+def test_json_rejects_malformed_graphs(d):
+    with pytest.raises(InvalidParameter):
+        from_json_dict(d)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (YES for decisions), 1 NO, 2 invalid input
 (malformed files, invalid trees, bad rotation edges), 3 disconnected
-graph, 4 size cap exceeded.
+graph, 4 size cap exceeded, 5 internal error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import random
 import statistics
 import sys
 import time
+import traceback
 
 from . import elimtree, flip, fpt, graphs
 from .errors import (
@@ -51,8 +52,7 @@ def _format_witness(seq) -> str:
 
 
 def _load_witness(path: str) -> list[tuple[int, int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = graphs.read_json(path)
     edges = d.get("edges") if isinstance(d, dict) else None
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
@@ -151,7 +151,7 @@ def cmd_distance(args) -> int:
         witness = tuple(seq) if yes else None
         dec = None
     else:
-        dec = fpt.fpt_decide(g, src, dst, args.k, jobs=args.jobs)
+        dec = fpt.fpt_decide(g, src, dst, args.k)
         yes, witness = dec.yes, dec.witness
     ms = (time.perf_counter() - t0) * 1000.0
 
@@ -233,7 +233,7 @@ def cmd_bench(args) -> int:
         times = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            fpt.fpt_decide(g, t, t2, args.k, jobs=args.jobs)
+            fpt.fpt_decide(g, t, t2, args.k)
             times.append((time.perf_counter() - t0) * 1000.0)
         print(f"{args.family},{n},{args.k},{args.reps},{statistics.median(times):.3f}")
     return 0
@@ -246,7 +246,7 @@ def cmd_explain(args) -> int:
     rc = _check_trees(g, [(args.source, src), (args.target, dst)])
     if rc:
         return rc
-    dec = fpt.fpt_decide(g, src, dst, args.k, jobs=args.jobs)
+    dec = fpt.fpt_decide(g, src, dst, args.k)
     text = json.dumps(dec.to_json_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -286,11 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None, help="rotation budget")
     p.add_argument("--method", choices=("fpt", "bfs", "auto"), default="auto",
                    help="auto picks bfs for n <= 8, fpt otherwise")
-    p.add_argument("--cap", type=int, default=None, help="unused for distance; kept for symmetry")
     p.add_argument("--explain", action="store_true", help="emit a JSON diagnostic dump")
     p.add_argument("--witness-out", help="write the witness JSON here on YES")
     p.add_argument("--replay", help="verify a witness file instead of searching")
-    p.add_argument("--jobs", type=int, default=1, help="worker hint, currently sequential")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("enumerate", help="enumerate all elimination trees")
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("explain", help="JSON dump of the decision pipeline")
@@ -329,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--source", required=True)
     p.add_argument("-t", "--target", required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", help="write the dump here (default stdout)")
     p.set_defaults(func=cmd_explain)
 
@@ -355,6 +351,11 @@ def main(argv=None) -> int:
     except RotDistError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, reported apart from every verdict
+        print(f"error: INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 5
 
 
 if __name__ == "__main__":

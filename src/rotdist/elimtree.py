@@ -21,7 +21,7 @@ from .errors import (
     InvalidVertex,
     NotATreeEdge,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, read_json
 
 ROOT = -1
 
@@ -31,7 +31,7 @@ RotationEdge = tuple[int, int]
 class ElimTree:
     """A rooted spanning tree encoded by its parent vector."""
 
-    __slots__ = ("parent", "root", "_children", "_depth", "_tin", "_tout")
+    __slots__ = ("parent", "root", "_children", "_depth")
 
     def __init__(self, parent: Sequence[int]):
         par = tuple(parent)
@@ -53,8 +53,6 @@ class ElimTree:
         self.root = root
         self._children = tuple(tuple(b) for b in buckets)
         self._depth: tuple[int, ...] | None = None
-        self._tin: tuple[int, ...] | None = None
-        self._tout: tuple[int, ...] | None = None
 
     @classmethod
     def _of(cls, parent: tuple[int, ...], root: int,
@@ -64,7 +62,7 @@ class ElimTree:
         t.parent = parent
         t.root = root
         t._children = children
-        t._depth = t._tin = t._tout = None
+        t._depth = None
         return t
 
     @property
@@ -109,29 +107,14 @@ class ElimTree:
             yield u
             stack.extend(self._children[u])
 
-    def _fill_euler(self) -> None:
-        tin = [0] * self.n
-        tout = [0] * self.n
-        clock = 0
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            u, closing = stack.pop()
-            if closing:
-                tout[u] = clock
-                continue
-            tin[u] = clock
-            clock += 1
-            stack.append((u, True))
-            for c in self._children[u]:
-                stack.append((c, False))
-        self._tin = tuple(tin)
-        self._tout = tuple(tout)
-
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff a is an ancestor of v (every vertex is its own ancestor)."""
-        if self._tin is None:
-            self._fill_euler()
-        return self._tin[a] <= self._tin[v] and self._tin[v] < self._tout[a]
+        steps = self.depth(v) - self.depth(a)
+        if steps < 0:
+            return False
+        for _ in range(steps):
+            v = self.parent[v]
+        return v == a
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElimTree):
@@ -213,46 +196,81 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     G-edge joins an ancestor-descendant pair, and every non-root subtree
     has a G-edge to its parent.  Given the first condition, the second
     is equivalent to every subtree inducing a connected subgraph.
+
+    One depth-first pass settles both.  It keeps the path from the root
+    to the visited vertex x in `path`, indexed by depth, so a G-neighbour
+    y of x is a proper ancestor exactly when path[depth[y]] == y, and the
+    child of y whose subtree holds x is path[depth[y] + 1].  An edge is
+    found this way at most once, from its lower end, so every G-edge joins
+    an ancestor-descendant pair exactly when g.m of them are found.  The
+    depths are kept in t's depth cache.
+    The messages, the first `limit` of them, are built only for an
+    invalid tree: the incomparable edges in sorted order, then the
+    subtrees with no edge to their parent, by parent.
     """
-    out: list[str] = []
     if t.n != g.n:
         return [f"tree has {t.n} vertices, graph has {g.n}"]
-    count = sum(1 for _ in t.descendants(t.root))
-    if count != t.n:
+    n = t.n
+    parent, children, adj = t.parent, t._children, g._sorted
+    root = t.root
+    # n marks a vertex not yet visited: it is never below a visited depth
+    depth = [n] * n
+    depth[root] = 0
+    path = [root] * n
+    hit = [False] * n
+    hit[root] = True
+    pairs = 0
+    visited = 1
+    stack = list(children[root])
+    while stack:
+        x = stack.pop()
+        d = depth[parent[x]] + 1
+        depth[x] = d
+        path[d] = x
+        visited += 1
+        for y in adj[x]:
+            dy = depth[y]
+            if dy < d and path[dy] == y:
+                pairs += 1
+                hit[path[dy + 1]] = True
+        stack.extend(children[x])
+    if visited != n:
         return ["parent vector contains a cycle"]
-    if t._tin is None:
-        t._fill_euler()
-    tin, tout = t._tin, t._tout
+    t._depth = tuple(depth)
+    if pairs == g.m and False not in hit:
+        return []
+    return _violation_messages(g, t, hit, limit)
+
+
+def _violation_messages(g: Graph, t: ElimTree, hit: list[bool], limit: int) -> list[str]:
+    """The messages of validity_violations for an acyclic tree t whose
+    depth cache is filled, given which subtrees have an edge to their
+    parent."""
+    out: list[str] = []
+    if limit <= 0:
+        return out
+    depth = t._depth
+    path = [0] * t.n
+    comparable = set()
+    for x in t.descendants(t.root):
+        d = depth[x]
+        path[d] = x
+        for y in g._sorted[x]:
+            dy = depth[y]
+            if dy < d and path[dy] == y:
+                comparable.add((y, x) if y < x else (x, y))
     for u, v in g.edges():
-        if len(out) >= limit:
-            break
-        anc = (tin[u] <= tin[v] < tout[u]) or (tin[v] <= tin[u] < tout[v])
-        if not anc:
+        if (u, v) not in comparable:
             out.append(f"edge ({u},{v}) joins incomparable vertices")
+            if len(out) >= limit:
+                return out
     for v in range(t.n):
-        if len(out) >= limit:
-            break
-        kids = t._children[v]
-        if not kids:
-            continue
-        kids = sorted(kids, key=lambda c: tin[c])
-        hit = set()
-        for y in g._sorted[v]:
-            if tin[v] <= tin[y] < tout[v]:
-                # y lies below v; find which child subtree holds it
-                lo, hi = 0, len(kids) - 1
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if tin[kids[mid]] <= tin[y]:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                hit.add(kids[lo])
-        for c in kids:
-            if c not in hit:
+        # the messages of one parent follow the visiting order of the pass
+        for c in reversed(t._children[v]):
+            if len(out) >= limit:
+                return out
+            if not hit[c]:
                 out.append(f"subtree at {c} has no edge to its parent {v}")
-                if len(out) >= limit:
-                    break
     return out
 
 
@@ -515,8 +533,7 @@ def from_json_dict(d: dict) -> ElimTree:
 
 
 def load_tree(path: str) -> ElimTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    return from_json_dict(read_json(path))
 
 
 def save_tree(t: ElimTree, path: str) -> None:

@@ -429,14 +429,12 @@ def _component_diameter(z: Component) -> int:
     return d
 
 
-def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int, *, jobs: int = 1) -> Decision:
+def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     """Decide whether t2 is at most k rotations away from t.
 
     Both trees must be valid elimination trees of g (not re-checked
     here).  The verdict is exact; YES comes with a shortest rotation
-    sequence over marked vertices.  `jobs` is accepted as a worker-count
-    hint; the current implementation runs sequentially regardless and
-    the verdict never depends on it.
+    sequence over marked vertices.
     """
     if t.n != g.n or t2.n != g.n:
         raise InvalidParameter("graph and trees disagree on the vertex count")

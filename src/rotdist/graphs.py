@@ -223,9 +223,21 @@ def from_json_dict(d: dict) -> Graph:
     return Graph(n, edges, names)
 
 
-def load_graph(path: str) -> Graph:
+def read_json(path: str):
+    """The JSON document in the file at path.  A file that is not UTF-8,
+    or nests deeper than the parser can follow, raises InvalidParameter;
+    other malformed JSON raises json.JSONDecodeError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter(f"{path} is not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise InvalidParameter(f"{path} nests too deeply to read as JSON") from None
+
+
+def load_graph(path: str) -> Graph:
+    return from_json_dict(read_json(path))
 
 
 def save_graph(g: Graph, path: str) -> None:

@@ -83,3 +83,108 @@ def inversions_between(p: list[int], q: list[int]) -> int:
             if pos[p[i]] > pos[p[j]]:
                 count += 1
     return count
+
+
+def reference_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
+    """validity_violations as it was before the one-pass check: an Euler
+    tour, child lists sorted by entry time and a binary search per
+    G-neighbour.  Kept to compare messages against."""
+    out: list[str] = []
+    if t.n != g.n:
+        return [f"tree has {t.n} vertices, graph has {g.n}"]
+    count = sum(1 for _ in t.descendants(t.root))
+    if count != t.n:
+        return ["parent vector contains a cycle"]
+    tin = [0] * t.n
+    tout = [0] * t.n
+    clock = 0
+    stack: list[tuple[int, bool]] = [(t.root, False)]
+    while stack:
+        u, closing = stack.pop()
+        if closing:
+            tout[u] = clock
+            continue
+        tin[u] = clock
+        clock += 1
+        stack.append((u, True))
+        for c in t.children(u):
+            stack.append((c, False))
+    for u, v in g.edges():
+        if len(out) >= limit:
+            break
+        anc = (tin[u] <= tin[v] < tout[u]) or (tin[v] <= tin[u] < tout[v])
+        if not anc:
+            out.append(f"edge ({u},{v}) joins incomparable vertices")
+    for v in range(t.n):
+        if len(out) >= limit:
+            break
+        kids = t.children(v)
+        if not kids:
+            continue
+        kids = sorted(kids, key=lambda c: tin[c])
+        hit = set()
+        for y in g.neighbors(v):
+            if tin[v] <= tin[y] < tout[v]:
+                lo, hi = 0, len(kids) - 1
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if tin[kids[mid]] <= tin[y]:
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                hit.add(kids[lo])
+        for c in kids:
+            if c not in hit:
+                out.append(f"subtree at {c} has no edge to its parent {v}")
+                if len(out) >= limit:
+                    break
+    return out
+
+
+def is_elimination_tree(g: Graph, parent: list[int]) -> bool:
+    """Whether the parent vector is an elimination tree of the connected
+    graph g, by the definition: the root's removal splits the vertex set
+    into components whose vertex sets are exactly the child subtrees,
+    and each child subtree is in turn an elimination tree of its
+    component."""
+    n = g.n
+    if len(parent) != n or parent.count(-1) != 1:
+        return False
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p != -1:
+            children[p].append(v)
+
+    def subtree(v: int) -> frozenset[int]:
+        seen, stack = {v}, [v]
+        while stack:
+            for c in children[stack.pop()]:
+                seen.add(c)
+                stack.append(c)
+        return frozenset(seen)
+
+    def split(verts: frozenset[int]) -> set[frozenset[int]]:
+        comps, left = set(), set(verts)
+        while left:
+            start = left.pop()
+            comp, stack = {start}, [start]
+            while stack:
+                for w in g.neighbors(stack.pop()):
+                    if w in left:
+                        left.discard(w)
+                        comp.add(w)
+                        stack.append(w)
+            comps.add(frozenset(comp))
+        return comps
+
+    root = parent.index(-1)
+    if len(subtree(root)) != n:
+        return False    # a cycle among the parents
+    work = [(root, frozenset(range(n)))]
+    while work:
+        r, verts = work.pop()
+        below = {c: subtree(c) for c in children[r]}
+        if split(verts - {r}) != set(below.values()):
+            return False
+        work.extend(below.items())
+    return True

@@ -272,3 +272,42 @@ def test_replay_rejects_malformed_witness(p3, tmp_path, witness, capsys):
                "--replay", wpath])
     assert rc == 2
     assert "INVALID_INPUT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00\x7b", b"[" * 200_000 + b"]" * 200_000],
+                         ids=["not-utf8", "nested"])
+@pytest.mark.parametrize("which", ["-g", "-s", "--replay"])
+def test_unreadable_json_is_invalid_input(p3, tmp_path, content, which, capsys):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "wb") as fh:
+        fh.write(content)
+    files = {"-g": p3["graph"], "-s": p3["chain"], "-t": p3["rev"], "--replay": None, which: bad}
+    argv = ["distance", "-k", "2"]
+    for flag, path in files.items():
+        if path is not None:
+            argv += [flag, path]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_internal_error_has_its_own_exit_code(p3, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("rotdist.fpt.fpt_decide", broken)
+    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
+               "-k", "2", "--method", "fpt"])
+    assert rc == 5
+    assert "error: INTERNAL: ZeroDivisionError: division by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["distance", "--jobs", "2"], ["distance", "--cap", "3"],
+                                  ["explain", "--jobs", "2"]])
+def test_removed_flags_are_rejected(p3, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"], "-k", "2"]
+             + args[1:])
+    assert exc.value.code == 2
+    capsys.readouterr()

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import preorder, random_tree, random_tree_edge, tree_distance_matrix
+from helpers import (
+    is_elimination_tree,
+    preorder,
+    random_tree,
+    random_tree_edge,
+    reference_violations,
+    tree_distance_matrix,
+)
 from rotdist import (
     DisconnectedGraph,
     InvalidOrdering,
@@ -130,6 +137,75 @@ def test_every_enumerated_tree_validates():
               generate("random_connected", 6, seed=9, p=0.35)):
         for t in enumerate_all(g).trees.values():
             assert validate(g, t)
+
+
+def _random_parent_vector(g, rng: random.Random) -> tuple[str, list[int]]:
+    """A parent vector with exactly one root, valid or not, for g."""
+    n = g.n
+    kind = rng.choice(("valid", "recursive", "chain", "perturbed", "size"))
+    if kind == "size":
+        m = n + 1 if n == 1 or rng.random() < 0.5 else n - 1
+        return kind, [-1] + [rng.randrange(i) for i in range(1, m)]
+    if kind == "valid":
+        return kind, list(random_tree(g, rng).parent)
+    order = list(range(n))
+    rng.shuffle(order)
+    parent = [-1] * n
+    if kind == "chain":
+        # every pair of a chain is comparable; only subtrees can fail
+        for i in range(1, n):
+            parent[order[i]] = order[i - 1]
+    elif kind == "recursive":
+        for i in range(1, n):
+            parent[order[i]] = order[rng.randrange(i)]
+    else:
+        parent = list(random_tree(g, rng).parent)
+        for v in rng.sample(range(n), min(n, rng.choice((1, 2)))):
+            if parent[v] != -1:
+                parent[v] = rng.choice([u for u in range(n) if u != v])
+    return kind, parent
+
+
+def test_validity_matches_definition_and_reference():
+    rng = random.Random(11)
+    seen = {"valid": 0, "cycle": 0, "vertices, graph has": 0,
+            "incomparable": 0, "no edge to its parent": 0}
+    for i in range(2400):
+        n = rng.randint(1, 9)
+        g = generate("random_connected", n, seed=i, p=rng.choice((0.0, 0.15, 0.4)))
+        _, parent = _random_parent_vector(g, rng)
+        t = ElimTree(parent)
+        got = validity_violations(g, t)
+        assert (not got) == is_elimination_tree(g, parent), (g.edges(), parent, got)
+        full = reference_violations(g, ElimTree(parent), limit=10**6)
+        for limit in (20, 3):
+            assert validity_violations(g, ElimTree(parent), limit) == \
+                reference_violations(g, ElimTree(parent), limit), (g.edges(), parent, limit)
+        if "cycle" not in " ".join(full) and len(parent) == n:
+            assert t._depth == tuple(len(list(t.ancestors(v))) - 1 for v in range(n))
+        seen["valid"] += not full
+        for key in seen:
+            seen[key] += any(key in msg for msg in full)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_validity_of_deep_trees():
+    # a path graph of 50,000 vertices: a single chain, and a tree rooted
+    # in the middle with two arms of depth 25,000; a recursive pass or a
+    # quadratic one would not finish
+    n = 50_000
+    g = generate("path", n)
+    chain = from_parent_vector([-1] + list(range(n - 1)))
+    assert validity_violations(g, chain) == []
+    assert chain.depth(n - 1) == n - 1
+    mid = n // 2
+    arms = [v + 1 if v < mid else v - 1 for v in range(n)]
+    arms[mid] = -1
+    t = from_parent_vector(arms)
+    assert validity_violations(g, t) == []
+    closed = from_edge_list(n, list(g.edges()) + [(0, n - 1)])
+    assert validity_violations(closed, t) == [f"edge (0,{n - 1}) joins incomparable vertices"]
+    assert validity_violations(closed, chain) == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DisconnectedGraph,
     InvalidOrdering,
+    InvalidParameter,
     InvalidTree,
     InvalidVertex,
     NotATreeEdge,
@@ -206,8 +207,11 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     depths are kept in t's depth cache.
     The messages, the first `limit` of them, are built only for an
     invalid tree: the incomparable edges in sorted order, then the
-    subtrees with no edge to their parent, by parent.
+    subtrees with no edge to their parent, by parent.  A limit below 1
+    raises InvalidParameter, since it would hide every message.
     """
+    if limit < 1:
+        raise InvalidParameter(f"limit must be at least 1, got {limit}")
     if t.n != g.n:
         return [f"tree has {t.n} vertices, graph has {g.n}"]
     n = t.n
@@ -247,8 +251,6 @@ def _violation_messages(g: Graph, t: ElimTree, hit: list[bool], limit: int) -> l
     depth cache is filled, given which subtrees have an edge to their
     parent."""
     out: list[str] = []
-    if limit <= 0:
-        return out
     depth = t._depth
     path = [0] * t.n
     comparable = set()

@@ -48,7 +48,9 @@ class FlipGraph:
     """The full rotation graph of one input graph.
 
     trees maps each key to its tree; adj maps each key to its outgoing
-    (edge, key) pairs in rotation order.
+    (edge, key) pairs in rotation order.  Each tree also has an integer
+    id, its position in `trees`, and `nbrs[i]` lists the ids adjacent to
+    id i, so that `distances_from` hashes keys only at its two ends.
     """
 
     def __init__(self, g: Graph, trees: dict[TreeKey, ElimTree],
@@ -56,6 +58,9 @@ class FlipGraph:
         self.g = g
         self.trees = trees
         self.adj = adj
+        self.keys = list(trees)
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.nbrs = [[self.index[k2] for _, k2 in adj[k]] for k in self.keys]
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -64,19 +69,21 @@ class FlipGraph:
         return sorted(self.trees)
 
     def distances_from(self, key: TreeKey) -> dict[TreeKey, int]:
-        """BFS distance map from one node to every node."""
-        dist = {key: 0}
-        frontier = [key]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                d = dist[k] + 1
-                for _, k2 in self.adj[k]:
-                    if k2 not in dist:
-                        dist[k2] = d
-                        nxt.append(k2)
-            frontier = nxt
-        return dist
+        """BFS distance map from one node to every node it reaches."""
+        nbrs = self.nbrs
+        dist = [-1] * len(nbrs)
+        start = self.index[key]
+        dist[start] = 0
+        queue = [start]
+        for i in queue:
+            d = dist[i] + 1
+            for j in nbrs[i]:
+                if dist[j] < 0:
+                    dist[j] = d
+                    queue.append(j)
+        if len(queue) == len(dist):
+            return dict(zip(self.keys, dist))
+        return {self.keys[i]: dist[i] for i in queue}
 
 
 def enumerate_all(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> FlipGraph:

@@ -19,7 +19,7 @@ Edge = tuple[int, int]
 class Graph:
     """An undirected simple graph with a fixed vertex count."""
 
-    __slots__ = ("n", "_sets", "_sorted", "names")
+    __slots__ = ("n", "_sets", "_sorted", "names", "_connected")
 
     def __init__(self, n: int, edges: Iterable[Edge], names: tuple[str, ...] | None = None):
         if n < 1:
@@ -36,6 +36,7 @@ class Graph:
         self._sets = tuple(frozenset(s) for s in sets)
         self._sorted = tuple(tuple(sorted(s)) for s in sets)
         self.names = names
+        self._connected: bool | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
@@ -85,7 +86,10 @@ def from_edge_list(n: int, edges: Iterable[Edge], names: tuple[str, ...] | None 
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff g has exactly one connected component."""
+    """True iff g has exactly one connected component.  The answer is
+    kept on g, so each graph is walked once."""
+    if g._connected is not None:
+        return g._connected
     seen = [False] * g.n
     seen[0] = True
     stack = [0]
@@ -97,7 +101,8 @@ def is_connected(g: Graph) -> bool:
                 seen[w] = True
                 count += 1
                 stack.append(w)
-    return count == g.n
+    g._connected = count == g.n
+    return g._connected
 
 
 def ball(g: Graph, seeds: Iterable[int], radius: int) -> frozenset[int]:

@@ -13,6 +13,7 @@ from helpers import (
 from rotdist import (
     DisconnectedGraph,
     InvalidOrdering,
+    InvalidParameter,
     InvalidTree,
     InvalidVertex,
     NotATreeEdge,
@@ -117,6 +118,14 @@ def test_validate_examples():
 def test_validate_diagnostics():
     problems = validity_violations(P3, tree([-1, 0, 0]))
     assert any("(1,2)" in p for p in problems)
+
+
+def test_validity_limit_below_one_raises():
+    # at limit 0 an invalid tree would get no message and read as valid
+    for limit in (0, -1):
+        with pytest.raises(InvalidParameter):
+            validity_violations(P3, tree([-1, 0, 0]), limit)
+    assert len(validity_violations(P3, tree([-1, 0, 0]), 1)) == 1
 
 
 def test_validate_needs_connected_subtrees():

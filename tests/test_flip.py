@@ -1,9 +1,10 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from helpers import inversions_between, random_tree
+from helpers import connected_graphs, inversions_between, random_tree
 from rotdist import (
     OVER_CAP,
     InstanceTooLarge,
@@ -20,7 +21,7 @@ from rotdist import (
     neighbors,
     restricted_bfs_distance,
 )
-from rotdist.flip import to_dot, to_json_dict
+from rotdist.flip import FlipGraph, to_dot, to_json_dict
 
 P3 = generate("path", 3)
 K3 = generate("complete", 3)
@@ -107,6 +108,49 @@ def test_distance_is_a_metric_on_small_flip_graphs():
             a, b, c = (rng.choice(keys) for _ in range(3))
             assert dist[a][b] == dist[b][a]
             assert dist[a][c] <= dist[a][b] + dist[b][c]
+
+
+def reference_distances(fg, key):
+    """A BFS over the key-to-arcs map, apart from the id lists."""
+    dist = {key: 0}
+    queue = deque([key])
+    while queue:
+        k = queue.popleft()
+        for _, k2 in fg.adj[k]:
+            if k2 not in dist:
+                dist[k2] = dist[k] + 1
+                queue.append(k2)
+    return dist
+
+
+def test_distances_from_matches_a_bfs_over_adj():
+    gs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    gs += [generate("random_connected", 6, seed=s, p=0.35) for s in (3, 17, 40)]
+    for g in gs:
+        fg = enumerate_all(g)
+        for key in fg.trees:
+            row = fg.distances_from(key)
+            assert row == reference_distances(fg, key), (g.edges(), key)
+            assert row.keys() == fg.trees.keys()
+
+
+def test_distances_from_unknown_key_raises():
+    fg = enumerate_all(P3)
+    with pytest.raises(KeyError):
+        fg.distances_from((-1, -1, -1))
+    with pytest.raises(KeyError):
+        fg.distances_from((-1, 0))
+
+
+def test_distances_from_leaves_out_unreached_trees():
+    # cut the 5-cycle of P3's rotation graph into a path of 3 and one of
+    # 2: a row lists only the trees its source reaches
+    fg = enumerate_all(P3)
+    a, b, c, d, e = fg.keys
+    arcs = {a: (b,), b: (a, c), c: (b,), d: (e,), e: (d,)}
+    cut = FlipGraph(P3, fg.trees, {k: tuple(((0, 1), k2) for k2 in v) for k, v in arcs.items()})
+    assert cut.distances_from(a) == {a: 0, b: 1, c: 2}
+    assert cut.distances_from(e) == {e: 0, d: 1}
 
 
 def test_restricted_distance():

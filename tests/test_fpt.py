@@ -30,6 +30,7 @@ from rotdist import (
     from_ordering,
     from_parent_vector,
     generate,
+    is_connected,
     mark,
     premark,
     restricted_bfs_distance,
@@ -281,6 +282,13 @@ def test_decide_errors():
         fpt_decide(generate("path", 4), CHAIN, CHAIN_REV, 1)
     with pytest.raises(DisconnectedGraph):
         fpt_decide(from_edge_list(3, [(0, 1)]), CHAIN, CHAIN_REV, 1)
+
+
+def test_decide_rejects_a_disconnected_graph_whose_answer_is_kept():
+    g = from_edge_list(3, [(0, 1)])
+    assert not is_connected(g)
+    with pytest.raises(DisconnectedGraph):
+        fpt_decide(g, CHAIN, CHAIN_REV, 1)
 
 
 def test_decide_star_instance_marks_constant_set():

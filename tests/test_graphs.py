@@ -58,6 +58,16 @@ def test_is_connected():
     assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
+def test_is_connected_answers_the_same_twice():
+    # the first call keeps its answer on the graph; the second reads it
+    for g, want in ((generate("cycle", 5), True),
+                    (from_edge_list(5, [(0, 1), (2, 3), (3, 4)]), False),
+                    (from_edge_list(2, []), False),
+                    (from_edge_list(1, []), True)):
+        assert is_connected(g) is want
+        assert is_connected(g) is want
+
+
 def test_ball_on_a_path():
     g = generate("path", 3)
     assert ball(g, [0], 1) == {0, 1}

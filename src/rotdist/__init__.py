@@ -4,7 +4,6 @@ from .elimtree import (
     ROOT,
     ElimTree,
     apply_sequence,
-    equals,
     from_ordering,
     from_parent_vector,
     load_tree,
@@ -43,7 +42,6 @@ from .fpt import (
     BadnessReport,
     Component,
     Decision,
-    MarkedSet,
     TypeTable,
     check_early_no,
     classify_bad,
@@ -57,6 +55,6 @@ from .fpt import (
     type_of,
     want_parent,
 )
-from .graphs import Graph, ball, from_edge_list, generate, is_connected, load_graph, save_graph
+from .graphs import Graph, generate, is_connected, load_graph, save_graph
 
 __version__ = "0.1.0"

@@ -106,8 +106,13 @@ def cmd_rotate(args) -> int:
     return 0
 
 
-def _check_trees(g, items) -> int:
-    for path, t in items:
+def cmd_distance(args) -> int:
+    if args.k is not None and args.k < 0:
+        raise InvalidParameter(f"k must be nonnegative, got {args.k}")
+    g = _load_connected_graph(args.graph)
+    src = elimtree.load_tree(args.source)
+    dst = elimtree.load_tree(args.target)
+    for path, t in ((args.source, src), (args.target, dst)):
         problems = elimtree.validity_violations(g, t)
         if problems:
             print(f"error: INVALID_INPUT: {path} is not an elimination tree",
@@ -115,23 +120,11 @@ def _check_trees(g, items) -> int:
             for p in problems:
                 print(f"  {p}", file=sys.stderr)
             return 2
-    return 0
-
-
-def cmd_distance(args) -> int:
-    if args.k is not None and args.k < 0:
-        raise InvalidParameter(f"k must be nonnegative, got {args.k}")
-    g = _load_connected_graph(args.graph)
-    src = elimtree.load_tree(args.source)
-    dst = elimtree.load_tree(args.target)
-    rc = _check_trees(g, [(args.source, src), (args.target, dst)])
-    if rc:
-        return rc
 
     if args.replay:
         seq = _load_witness(args.replay)
         reached = elimtree.apply_sequence(g, src, seq)
-        ok = elimtree.equals(reached, dst) and (args.k is None or len(seq) <= args.k)
+        ok = reached == dst and (args.k is None or len(seq) <= args.k)
         print(f"verdict: {'YES' if ok else 'NO'}")
         print(f"length: {len(seq)}")
         print("method: replay")
@@ -239,23 +232,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_explain(args) -> int:
-    g = _load_connected_graph(args.graph)
-    src = elimtree.load_tree(args.source)
-    dst = elimtree.load_tree(args.target)
-    rc = _check_trees(g, [(args.source, src), (args.target, dst)])
-    if rc:
-        return rc
-    dec = fpt.fpt_decide(g, src, dst, args.k)
-    text = json.dumps(dec.to_json_dict(), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0 if dec.yes else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rotdist",
@@ -320,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("explain", help="JSON dump of the decision pipeline")
-    add_graph(p)
-    p.add_argument("-s", "--source", required=True)
-    p.add_argument("-t", "--target", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--out", help="write the dump here (default stdout)")
-    p.set_defaults(func=cmd_explain)
 
     return ap
 

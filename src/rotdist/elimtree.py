@@ -108,15 +108,6 @@ class ElimTree:
             yield u
             stack.extend(self._children[u])
 
-    def is_ancestor(self, a: int, v: int) -> bool:
-        """True iff a is an ancestor of v (every vertex is its own ancestor)."""
-        steps = self.depth(v) - self.depth(a)
-        if steps < 0:
-            return False
-        for _ in range(steps):
-            v = self.parent[v]
-        return v == a
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElimTree):
             return NotImplemented
@@ -145,11 +136,6 @@ def from_parent_vector(parent: Sequence[int]) -> ElimTree:
     if count != t.n:
         raise InvalidTree("parent vector contains a cycle")
     return t
-
-
-def equals(a: ElimTree, b: ElimTree) -> bool:
-    """Exact equality: same root and same parent everywhere."""
-    return a.parent == b.parent
 
 
 def from_ordering(g: Graph, order: Sequence[int]) -> ElimTree:

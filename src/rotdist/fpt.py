@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-# rotate is no longer called here; it stays importable as fpt.rotate for existing callers.
+# rotate is not called here; the benchmark's tracer wraps fpt.rotate to count calls from fpt.
 from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, rotate  # noqa: F401
 from .errors import (
     DisconnectedGraph,
@@ -315,62 +315,59 @@ def mark(z: Component, premarked: frozenset[int], report: BadnessReport) -> froz
     return frozenset(mz)
 
 
-@dataclass(frozen=True)
-class MarkedSet:
-    """Premarked and marked vertices, with the per-component breakdown."""
-
-    premarked: frozenset[int]
-    marked: frozenset[int]
-    per_component: dict[int, frozenset[int]]
-
-
-def compute_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int):
+def compute_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     """Run the classification pipeline, stopping before the search.
 
-    Returns (report, ball, components, table, marking); the table and
-    marking are None when an early NO certificate fires, in which case
-    the certificate text is returned as a sixth element.
+    Returns a Decision with no verdict yet.  When an early NO certificate
+    fires it holds the report, ball and components and names the
+    certificate in `early_no`; otherwise it also holds the type table
+    and the marked sets.
     """
     report = classify_bad(t, t2)
     bcb = compute_bcb(t, report, k)
     comps = components(t, bcb.vertices)
-    reason = check_early_no(report, comps, k)
-    if reason is not None:
-        return report, bcb, comps, None, None, reason
+    dec = Decision(k=k, n=g.n, report=report, ball=bcb, comps=comps,
+                   early_no=check_early_no(report, comps, k))
+    if dec.early_no is not None:
+        return dec
     table = TypeTable()
     premarked: set[int] = set()
     marked: set[int] = set()
-    per_comp: dict[int, frozenset[int]] = {}
     for z in comps:
         compute_types(g, t, t2, z, k, table)
         pz = premark(z, table.vertex_types, k)
         mz = mark(z, pz, report)
         premarked |= pz
         marked |= mz
-        per_comp[z.zroot] = mz
-    marking = MarkedSet(frozenset(premarked), frozenset(marked), per_comp)
-    return report, bcb, comps, table, marking, None
+        dec.marked_per_component[z.zroot] = mz
+    dec.table = table
+    dec.premarked = frozenset(premarked)
+    dec.marked = frozenset(marked)
+    return dec
 
 
 @dataclass
 class Decision:
-    """Outcome of fpt_decide plus everything computed along the way."""
+    """Outcome of fpt_decide plus everything computed along the way.
 
-    yes: bool
-    witness: tuple[RotationEdge, ...] | None
+    compute_marking fills the pipeline fields, from `report` to
+    `marked_per_component`; fpt_decide and its search set `yes` and
+    `witness`.
+    """
+
     k: int
     n: int
+    yes: bool = False
+    witness: tuple[RotationEdge, ...] | None = None
     early_no: str | None = None
     report: BadnessReport | None = None
     ball: Ball | None = None
     comps: list[Component] = field(default_factory=list)
     table: TypeTable | None = None
-    marking: MarkedSet | None = None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def marked(self) -> frozenset[int]:
-        return self.marking.marked if self.marking else frozenset()
+    premarked: frozenset[int] = frozenset()
+    marked: frozenset[int] = frozenset()
+    marked_per_component: dict[int, frozenset[int]] = field(default_factory=dict)
+    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "memo_hits": 0})
 
     def to_json_dict(self) -> dict:
         comps = [
@@ -395,10 +392,10 @@ class Decision:
             "vertex_types": {str(v): tid for v, tid in sorted(self.table.vertex_types.items())}
             if self.table else {},
             "type_count": len(self.table) if self.table else 0,
-            "premarked": sorted(self.marking.premarked) if self.marking else [],
-            "marked": sorted(self.marking.marked) if self.marking else [],
-            "marked_per_component": {str(z): sorted(m) for z, m in self.marking.per_component.items()}
-            if self.marking else {},
+            "premarked": sorted(self.premarked),
+            "marked": sorted(self.marked),
+            "marked_per_component": {str(z): sorted(m)
+                                     for z, m in self.marked_per_component.items()},
             "search": dict(self.stats),
         }
 
@@ -442,25 +439,19 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
         raise InvalidParameter(f"k must be nonnegative, got {k}")
     if not is_connected(g):
         raise DisconnectedGraph("rotation distance is defined over connected graphs")
-    stats = {"nodes_expanded": 0, "memo_hits": 0}
     if t.parent == t2.parent:
-        return Decision(yes=True, witness=(), k=k, n=g.n, stats=stats)
+        return Decision(k=k, n=g.n, yes=True, witness=())
     if k == 0:
-        return Decision(yes=False, witness=None, k=k, n=g.n, stats=stats,
-                        early_no="trees differ and k=0 allows no rotations")
-    report, bcb, comps, table, marking, reason = compute_marking(g, t, t2, k)
-    if reason is not None:
-        return Decision(yes=False, witness=None, k=k, n=g.n, early_no=reason,
-                        report=report, ball=bcb, comps=comps, stats=stats)
-    witness = _search(g, t, t2, k, marking.marked, report.parent_bad, stats)
-    return Decision(yes=witness is not None, witness=witness, k=k, n=g.n,
-                    report=report, ball=bcb, comps=comps, table=table,
-                    marking=marking, stats=stats)
+        return Decision(k=k, n=g.n, early_no="trees differ and k=0 allows no rotations")
+    dec = compute_marking(g, t, t2, k)
+    if dec.early_no is None:
+        _search(g, t, t2, dec)
+    return dec
 
 
-def _search(g: Graph, t: ElimTree, t2: ElimTree, k: int, marked: frozenset[int],
-            parent_bad: frozenset[int], stats: dict) -> tuple[RotationEdge, ...] | None:
-    """Iterative-deepening search over rotations inside the marked set.
+def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
+    """Iterative-deepening search over rotations inside the marked set;
+    on success it sets `dec.yes` and a shortest `dec.witness`.
 
     The search walks one mutable copy of t, applying each rotation in
     place and undoing it by the reverse rotation, so a node costs the
@@ -471,9 +462,10 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, k: int, marked: frozenset[int],
     target is reached when it equals t2's difference from t, which
     lies on `parent_bad`, the vertices whose parents differ.
     """
+    marked, stats = dec.marked, dec.stats
     m_list = sorted(marked)
     source = t.parent
-    goal = {x: t2.parent[x] for x in parent_bad}
+    goal = {x: t2.parent[x] for x in dec.report.parent_bad}
     tree = MutableTree(g, t, marked)
     parent = tree.parent
     diff: dict[int, int] = {}
@@ -513,7 +505,7 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, k: int, marked: frozenset[int],
         memo[key] = budget
         return False
 
-    for budget in range(1, k + 1):
+    for budget in range(1, dec.k + 1):
         if dfs(budget, {}):
-            return tuple(seq)
-    return None
+            dec.yes, dec.witness = True, tuple(seq)
+            return

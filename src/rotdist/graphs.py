@@ -80,11 +80,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(n: int, edges: Iterable[Edge], names: tuple[str, ...] | None = None) -> Graph:
-    """Build a graph from an edge list; duplicates and orientation collapse."""
-    return Graph(n, edges, names)
-
-
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one connected component.  The answer is
     kept on g, so each graph is walked once."""
@@ -103,31 +98,6 @@ def is_connected(g: Graph) -> bool:
                 stack.append(w)
     g._connected = count == g.n
     return g._connected
-
-
-def ball(g: Graph, seeds: Iterable[int], radius: int) -> frozenset[int]:
-    """All vertices of g within the given distance of some seed."""
-    if radius < 0:
-        raise InvalidParameter(f"radius must be nonnegative, got {radius}")
-    frontier = []
-    seen = set()
-    for s in seeds:
-        if not (0 <= s < g.n):
-            raise InvalidVertex(f"seed {s} out of range for n={g.n}")
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-    for _ in range(radius):
-        if not frontier:
-            break
-        nxt = []
-        for u in frontier:
-            for w in g._sorted[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from rotdist import ElimTree, Graph, from_edge_list, from_ordering, is_connected
+from rotdist import ElimTree, Graph, from_ordering, is_connected
 
 # number of connected graphs on 1..5 labeled-iso-free vertices
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
@@ -19,7 +19,7 @@ def connected_graphs(n: int) -> list[Graph]:
     out = []
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        g = from_edge_list(n, edges)
+        g = Graph(n, edges)
         if not is_connected(g):
             continue
         canon = min(

@@ -192,19 +192,25 @@ def test_bench_csv(capsys):
     assert lines[2].startswith("star,20,1,2,")
 
 
-def test_explain_command(p3, tmp_path, capsys):
-    out_path = str(tmp_path / "dump.json")
-    rc = main(["explain", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
-               "-k", "2", "-o", out_path])
+def test_explain_command(p3, capsys):
+    # the whole pipeline dump is pinned; only time_ms varies between runs
+    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
+               "-k", "2", "--method", "fpt", "--explain"])
     assert rc == 0
-    with open(out_path) as fh:
-        d = json.load(fh)
-    assert d["verdict"] == "YES"
-    assert d["children_bad"] == [0, 1, 2]
-    assert d["search"]["nodes_expanded"] > 0
+    d = json.loads(capsys.readouterr().out)
+    assert d.pop("time_ms") >= 0
+    assert d == {
+        "n": 3, "k": 2, "verdict": "YES", "witness": [[0, 1], [1, 2]],
+        "children_bad": [0, 1, 2], "parent_bad": [0, 1, 2], "early_no": None,
+        "ball_radius": 5, "ball": [0, 1, 2],
+        "components": [{"zroot": 0, "vertices": [0, 1, 2], "diameter": 2}],
+        "vertex_types": {"0": 2, "1": 1, "2": 0}, "type_count": 3,
+        "premarked": [0, 1, 2], "marked": [0, 1, 2], "marked_per_component": {"0": [0, 1, 2]},
+        "search": {"nodes_expanded": 7, "memo_hits": 0}, "method": "fpt",
+    }
     # a NO instance exits 1 but still dumps
-    rc = main(["explain", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
-               "-k", "1"])
+    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
+               "-k", "1", "--method", "fpt", "--explain"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "NO"
 
@@ -303,8 +309,9 @@ def test_internal_error_has_its_own_exit_code(p3, monkeypatch, capsys):
     assert "error: INTERNAL: ZeroDivisionError: division by zero" in capsys.readouterr().err
 
 
+# `explain` is no subcommand: `distance --method fpt --explain` prints the dump
 @pytest.mark.parametrize("args", [["distance", "--jobs", "2"], ["distance", "--cap", "3"],
-                                  ["explain", "--jobs", "2"]])
+                                  ["explain"]])
 def test_removed_flags_are_rejected(p3, args, capsys):
     with pytest.raises(SystemExit) as exc:
         main([args[0], "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"], "-k", "2"]

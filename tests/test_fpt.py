@@ -23,10 +23,9 @@ from rotdist import (
     compute_bcb,
     compute_marking,
     ElimTree,
+    Graph,
     enumerate_all,
-    equals,
     fpt_decide,
-    from_edge_list,
     from_ordering,
     from_parent_vector,
     generate,
@@ -266,7 +265,7 @@ def test_decide_reversal_needs_two():
     dec = fpt_decide(P3, CHAIN, CHAIN_REV, 2)
     assert dec.yes
     assert dec.witness == ((0, 1), (1, 2))
-    assert equals(apply_sequence(P3, CHAIN, dec.witness), CHAIN_REV)
+    assert apply_sequence(P3, CHAIN, dec.witness) == CHAIN_REV
 
 
 def test_decide_k_zero():
@@ -281,11 +280,11 @@ def test_decide_errors():
     with pytest.raises(InvalidParameter):
         fpt_decide(generate("path", 4), CHAIN, CHAIN_REV, 1)
     with pytest.raises(DisconnectedGraph):
-        fpt_decide(from_edge_list(3, [(0, 1)]), CHAIN, CHAIN_REV, 1)
+        fpt_decide(Graph(3, [(0, 1)]), CHAIN, CHAIN_REV, 1)
 
 
 def test_decide_rejects_a_disconnected_graph_whose_answer_is_kept():
-    g = from_edge_list(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     assert not is_connected(g)
     with pytest.raises(DisconnectedGraph):
         fpt_decide(g, CHAIN, CHAIN_REV, 1)
@@ -326,11 +325,35 @@ def test_compute_marking_reports_early_no():
     g = generate("path", 30)
     t = from_ordering(g, list(range(30)))
     t2 = apply_sequence(g, t, [(5, 6), (20, 21)])
-    report, ball_, comps, table, marking, reason = compute_marking(g, t, t2, 1)
-    assert reason is not None
-    assert table is None and marking is None
-    assert report.children_bad
-    assert comps
+    dec = compute_marking(g, t, t2, 1)
+    assert dec.early_no is not None
+    assert not dec.yes and dec.witness is None
+    assert dec.table is None
+    assert dec.premarked == dec.marked == frozenset() and dec.marked_per_component == {}
+    assert dec.report.children_bad
+    assert dec.comps
+
+
+def test_compute_marking_leaves_the_verdict_to_the_search():
+    dec = compute_marking(P3, CHAIN, CHAIN_REV, 2)
+    assert dec.early_no is None
+    assert not dec.yes and dec.witness is None
+    assert dec.stats == {"nodes_expanded": 0, "memo_hits": 0}
+    assert dec.marked == {0, 1, 2} and dec.marked_per_component == {0: {0, 1, 2}}
+    assert len(dec.table) == 3
+
+
+def test_early_decisions_dump_the_same_keys():
+    searched = fpt_decide(P3, CHAIN, CHAIN_REV, 2).to_json_dict()
+    g = generate("path", 30)
+    t = from_ordering(g, list(range(30)))
+    t2 = apply_sequence(g, t, [(5, 6), (20, 21)])
+    for dec in (fpt_decide(P3, CHAIN, CHAIN, 2),      # equal trees
+                fpt_decide(P3, CHAIN, CHAIN_REV, 0),  # k = 0
+                fpt_decide(g, t, t2, 1)):             # a certificate
+        d = dec.to_json_dict()
+        assert list(d) == list(searched)
+        assert d["search"] == {"nodes_expanded": 0, "memo_hits": 0}
 
 
 def test_decision_dump_structure():

@@ -1,14 +1,12 @@
 import json
-import random
 
 import pytest
 
 from rotdist import (
+    Graph,
     InvalidParameter,
     InvalidVertex,
     SelfLoop,
-    ball,
-    from_edge_list,
     generate,
     is_connected,
 )
@@ -22,7 +20,7 @@ from rotdist.graphs import (
 
 
 def test_basic_construction():
-    g = from_edge_list(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.n == 3
     assert g.m == 2
     assert g.neighbors(1) == (0, 2)
@@ -32,69 +30,40 @@ def test_basic_construction():
 
 
 def test_duplicates_and_orientation_collapse():
-    a = from_edge_list(3, [(0, 1), (1, 0), (1, 2), (1, 2)])
-    b = from_edge_list(3, [(0, 1), (1, 2)])
+    a = Graph(3, [(0, 1), (1, 0), (1, 2), (1, 2)])
+    b = Graph(3, [(0, 1), (1, 2)])
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_single_vertex():
-    g = from_edge_list(1, [])
+    g = Graph(1, [])
     assert g.n == 1 and g.m == 0
     assert is_connected(g)
 
 
 def test_bad_edges():
     with pytest.raises(InvalidVertex):
-        from_edge_list(3, [(0, 5)])
+        Graph(3, [(0, 5)])
     with pytest.raises(SelfLoop):
-        from_edge_list(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(InvalidParameter):
-        from_edge_list(0, [])
+        Graph(0, [])
 
 
 def test_is_connected():
-    assert is_connected(from_edge_list(3, [(0, 1), (1, 2)]))
-    assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
+    assert is_connected(Graph(3, [(0, 1), (1, 2)]))
+    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_is_connected_answers_the_same_twice():
     # the first call keeps its answer on the graph; the second reads it
     for g, want in ((generate("cycle", 5), True),
-                    (from_edge_list(5, [(0, 1), (2, 3), (3, 4)]), False),
-                    (from_edge_list(2, []), False),
-                    (from_edge_list(1, []), True)):
+                    (Graph(5, [(0, 1), (2, 3), (3, 4)]), False),
+                    (Graph(2, []), False),
+                    (Graph(1, []), True)):
         assert is_connected(g) is want
         assert is_connected(g) is want
-
-
-def test_ball_on_a_path():
-    g = generate("path", 3)
-    assert ball(g, [0], 1) == {0, 1}
-    assert ball(g, [0], 0) == {0}
-    assert ball(g, [0, 2], 1) == {0, 1, 2}
-
-
-def test_ball_errors():
-    g = generate("path", 3)
-    with pytest.raises(InvalidVertex):
-        ball(g, [7], 1)
-    with pytest.raises(InvalidParameter):
-        ball(g, [0], -1)
-
-
-def test_ball_monotone_and_exhaustive():
-    rng = random.Random(7)
-    for trial in range(20):
-        n = rng.randrange(2, 12)
-        g = generate("random_connected", n, seed=trial, p=0.3)
-        seeds = [rng.randrange(n)]
-        prev = ball(g, seeds, 0)
-        for r in range(1, n + 1):
-            cur = ball(g, seeds, r)
-            assert prev <= cur
-            prev = cur
-        assert prev == set(range(n))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -24,12 +24,11 @@ from .errors import (
     InvalidTree,
     InvalidVertex,
     NotATreeEdge,
-    RotDistError,
     SelfLoop,
 )
 
 _INVALID_INPUT = (InvalidTree, NotATreeEdge, InvalidOrdering, InvalidVertex,
-                  SelfLoop, InvalidParameter)
+                  SelfLoop, InvalidParameter, json.JSONDecodeError, OSError)
 
 
 def _load_connected_graph(path: str) -> graphs.Graph:
@@ -37,6 +36,14 @@ def _load_connected_graph(path: str) -> graphs.Graph:
     if not graphs.is_connected(g):
         raise DisconnectedGraph(f"graph in {path} is not connected")
     return g
+
+
+def _check_tree(g: graphs.Graph, path: str, t: elimtree.ElimTree) -> None:
+    """Raise InvalidTree, listing why, when t is no elimination tree of g."""
+    problems = elimtree.validity_violations(g, t)
+    if problems:
+        lines = [f"{path} is not an elimination tree"] + [f"  {p}" for p in problems]
+        raise InvalidTree("\n".join(lines))
 
 
 def _parse_edge(token: str) -> tuple[int, int]:
@@ -88,17 +95,12 @@ def cmd_validate(args) -> int:
 def cmd_rotate(args) -> int:
     g = _load_connected_graph(args.graph)
     t = elimtree.load_tree(args.source)
-    if not elimtree.validate(g, t):
-        print("error: INVALID_INPUT: source tree is not an elimination tree",
-              file=sys.stderr)
-        return 2
+    _check_tree(g, args.source, t)
     seq = [_parse_edge(tok) for tok in args.edge or []]
     if args.replay:
         seq = _load_witness(args.replay) + seq
     if not seq:
-        print("error: INVALID_INPUT: nothing to apply, give -e or --replay",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameter("nothing to apply, give -e or --replay")
     result = elimtree.apply_sequence(g, t, seq)
     if args.out:
         elimtree.save_tree(result, args.out)
@@ -112,14 +114,8 @@ def cmd_distance(args) -> int:
     g = _load_connected_graph(args.graph)
     src = elimtree.load_tree(args.source)
     dst = elimtree.load_tree(args.target)
-    for path, t in ((args.source, src), (args.target, dst)):
-        problems = elimtree.validity_violations(g, t)
-        if problems:
-            print(f"error: INVALID_INPUT: {path} is not an elimination tree",
-                  file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 2
+    _check_tree(g, args.source, src)
+    _check_tree(g, args.target, dst)
 
     if args.replay:
         seq = _load_witness(args.replay)
@@ -131,9 +127,7 @@ def cmd_distance(args) -> int:
         return 0 if ok else 1
 
     if args.k is None:
-        print("error: INVALID_INPUT: -k is required unless --replay is given",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameter("-k is required unless --replay is given")
     method = args.method
     if method == "auto":
         method = "bfs" if g.n <= 8 else "fpt"
@@ -313,12 +307,6 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: INSTANCE_TOO_LARGE: {exc}", file=sys.stderr)
         return 4
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"error: INVALID_INPUT: {exc}", file=sys.stderr)
-        return 2
-    except RotDistError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # a fault of the program, reported apart from every verdict
         print(f"error: INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)

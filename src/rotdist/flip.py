@@ -34,12 +34,13 @@ class _OverCap:
 OVER_CAP = _OverCap()
 
 
-def neighbors(g: Graph, t: ElimTree) -> list[tuple[RotationEdge, ElimTree]]:
-    """All single-rotation successors, ordered by rotated child vertex."""
+def neighbors(g: Graph, t: ElimTree, allowed: frozenset[int] | None = None
+              ) -> list[tuple[RotationEdge, ElimTree]]:
+    """All single-rotation successors, ordered by rotated child vertex;
+    with `allowed`, only those whose edge has both ends in it."""
     out = []
-    for v in range(t.n):
-        u = t.parent[v]
-        if u >= 0:
+    for v, u in enumerate(t.parent):
+        if u >= 0 and (allowed is None or (u in allowed and v in allowed)):
             out.append(((u, v), rotate(g, t, (u, v))))
     return out
 
@@ -93,19 +94,16 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> FlipGraph:
     start = from_ordering(g, list(range(g.n)))
     trees: dict[TreeKey, ElimTree] = {start.key(): start}
     adj: dict[TreeKey, tuple[tuple[RotationEdge, TreeKey], ...]] = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            arcs = []
-            for edge, t2 in neighbors(g, t):
-                k2 = t2.key()
-                arcs.append((edge, k2))
-                if k2 not in trees:
-                    trees[k2] = t2
-                    nxt.append(t2)
-            adj[t.key()] = tuple(arcs)
-        frontier = nxt
+    queue = [start]
+    for t in queue:
+        arcs = []
+        for edge, t2 in neighbors(g, t):
+            k2 = t2.key()
+            arcs.append((edge, k2))
+            if k2 not in trees:
+                trees[k2] = t2
+                queue.append(t2)
+        adj[t.key()] = tuple(arcs)
     return FlipGraph(g, trees, adj)
 
 
@@ -121,60 +119,51 @@ def enumerate_orderings(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> set[TreeKey]:
 
 
 def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
-         allowed: frozenset[int] | None, want_path: bool):
+         allowed: frozenset[int] | None):
+    """(distance, shortest rotation sequence) from t to t2 over
+    `neighbors`, or (OVER_CAP, None).  `pred` maps each tree reached to
+    its predecessor and rotation (None at t), and the search stops after
+    the node whose neighbours reach t2."""
     if t.n > BFS_CAP_REQUIRED_ABOVE and cap is None:
         raise InstanceTooLarge(
             f"n={t.n} > {BFS_CAP_REQUIRED_ABOVE}: bfs search requires an explicit cap")
     target = t2.key()
-    start = t.key()
-    if start == target:
-        return (0, []) if want_path else 0
-    pred: dict[TreeKey, tuple[TreeKey, RotationEdge]] = {}
-
-    def path_to(key: TreeKey) -> list[RotationEdge]:
-        seq: list[RotationEdge] = []
-        while key != start:
-            prev, edge = pred[key]
-            seq.append(edge)
-            key = prev
-        seq.reverse()
-        return seq
-
-    seen = {start}
+    pred: dict[TreeKey, tuple[TreeKey, RotationEdge] | None] = {t.key(): None}
     frontier = [t]
     depth = 0
-    while frontier and (cap is None or depth < cap):
+    while target not in pred:
+        if not frontier or (cap is not None and depth >= cap):
+            return OVER_CAP, None
         depth += 1
         nxt = []
         for cur in frontier:
-            for v in range(cur.n):
-                u = cur.parent[v]
-                if u < 0:
-                    continue
-                if allowed is not None and (u not in allowed or v not in allowed):
-                    continue
-                t3 = rotate(g, cur, (u, v))
+            key = cur.key()
+            for edge, t3 in neighbors(g, cur, allowed):
                 k3 = t3.key()
-                if k3 in seen:
-                    continue
-                seen.add(k3)
-                if want_path:
-                    pred[k3] = (cur.key(), (u, v))
-                if k3 == target:
-                    return (depth, path_to(k3)) if want_path else depth
-                nxt.append(t3)
+                if k3 not in pred:
+                    pred[k3] = (key, edge)
+                    nxt.append(t3)
+            if target in pred:
+                break
         frontier = nxt
-    return (OVER_CAP, None) if want_path else OVER_CAP
+    seq: list[RotationEdge] = []
+    step = pred[target]
+    while step is not None:
+        key, edge = step
+        seq.append(edge)
+        step = pred[key]
+    seq.reverse()
+    return depth, seq
 
 
 def bfs_distance(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
     """Exact rotation distance, or OVER_CAP if above the given cap."""
-    return _bfs(g, t, t2, cap, None, False)
+    return _bfs(g, t, t2, cap, None)[0]
 
 
 def bfs_witness(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
     """(distance, shortest rotation sequence), or (OVER_CAP, None)."""
-    return _bfs(g, t, t2, cap, None, True)
+    return _bfs(g, t, t2, cap, None)
 
 
 def restricted_bfs_distance(g: Graph, t: ElimTree, t2: ElimTree,
@@ -183,7 +172,7 @@ def restricted_bfs_distance(g: Graph, t: ElimTree, t2: ElimTree,
 
     OVER_CAP when no such sequence exists within the cap (or at all).
     """
-    return _bfs(g, t, t2, cap, frozenset(allowed), False)
+    return _bfs(g, t, t2, cap, frozenset(allowed))[0]
 
 
 def diameter(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -201,20 +190,15 @@ def diameter(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
 # exports
 
 def to_dot(fg: FlipGraph) -> str:
-    """GraphViz rendering; one node per tree, one edge per rotation."""
-    nodes = fg.nodes()
-    index = {k: i for i, k in enumerate(nodes)}
+    """GraphViz rendering of `to_json_dict(fg)`: one node per tree, one
+    edge per rotation."""
+    d = to_json_dict(fg)
     lines = ["graph rotations {"]
-    for k in nodes:
-        label = ",".join(str(p) for p in k)
-        lines.append(f'  t{index[k]} [label="({label})"];')
-    seen = set()
-    for k in nodes:
-        for _, k2 in fg.adj[k]:
-            a, b = index[k], index[k2]
-            if (min(a, b), max(a, b)) not in seen:
-                seen.add((min(a, b), max(a, b)))
-                lines.append(f"  t{min(a, b)} -- t{max(a, b)};")
+    for i, key in enumerate(d["nodes"]):
+        label = ",".join(str(p) for p in key)
+        lines.append(f'  t{i} [label="({label})"];')
+    for a, b in d["edges"]:
+        lines.append(f"  t{a} -- t{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -43,10 +43,6 @@ class Graph:
         self._check(v)
         return self._sorted[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return self._sets[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from rotdist import from_ordering, generate, rotate
+from rotdist import from_ordering, generate
 from rotdist.cli import main
 from rotdist.elimtree import save_tree
+from rotdist.errors import NotInComponent
 from rotdist.graphs import save_graph
 
 
@@ -122,7 +123,11 @@ def test_distance_invalid_tree_exit_code(p3, tmp_path, capsys):
         json.dump({"parent": [-1, 0, 0]}, fh)
     rc = main(["distance", "-g", p3["graph"], "-s", bad, "-t", p3["rev"], "-k", "1"])
     assert rc == 2
-    assert "INVALID_INPUT" in capsys.readouterr().err
+    # pinned: the path, then one indented line per violation
+    assert capsys.readouterr().err == (
+        f"error: INVALID_INPUT: {bad} is not an elimination tree\n"
+        "  edge (1,2) joins incomparable vertices\n"
+        "  subtree at 2 has no edge to its parent 0\n")
 
 
 def test_disconnected_graph_exit_code(tmp_path, capsys):
@@ -146,6 +151,20 @@ def test_rotate_command(p3, tmp_path, capsys):
     assert printed["parent"] == [1, 2, -1]
     with open(out_path) as fh:
         assert json.load(fh)["parent"] == [1, 2, -1]
+
+
+def test_rotate_invalid_source_lists_the_violations(p3, tmp_path, capsys):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump({"parent": [-1, 0, 0]}, fh)
+    rc = main(["rotate", "-g", p3["graph"], "-s", bad, "-e", "0->1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: INVALID_INPUT: {bad} is not an elimination tree\n"
+        "  edge (1,2) joins incomparable vertices\n"
+        "  subtree at 2 has no edge to its parent 0\n")
 
 
 def test_rotate_bad_edge(p3, capsys):
@@ -307,6 +326,18 @@ def test_internal_error_has_its_own_exit_code(p3, monkeypatch, capsys):
                "-k", "2", "--method", "fpt"])
     assert rc == 5
     assert "error: INTERNAL: ZeroDivisionError: division by zero" in capsys.readouterr().err
+
+
+def test_unexpected_rotdist_error_is_internal(p3, monkeypatch, capsys):
+    # no CLI input raises NotInComponent, so one that escapes is a fault
+    def broken(*args, **kwargs):
+        raise NotInComponent("vertex 7 is not in the component")
+
+    monkeypatch.setattr("rotdist.fpt.fpt_decide", broken)
+    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
+               "-k", "2", "--method", "fpt"])
+    assert rc == 5
+    assert "error: INTERNAL: NotInComponent: vertex 7" in capsys.readouterr().err
 
 
 # `explain` is no subcommand: `distance --method fpt --explain` prints the dump

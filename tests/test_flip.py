@@ -38,6 +38,19 @@ def test_neighbors_of_a_chain():
     assert nbrs[1][1].parent == (-1, 2, 0)
 
 
+def test_neighbors_inside_allowed_are_the_filtered_neighbors():
+    for n in range(1, 5):
+        for g in connected_graphs(n):
+            subsets = [frozenset(s) for r in range(n + 1)
+                       for s in itertools.combinations(range(n), r)]
+            for key, t in enumerate_all(g).trees.items():
+                every = neighbors(g, t)
+                for allowed in subsets:
+                    inside = [(e, t2) for e, t2 in every
+                              if e[0] in allowed and e[1] in allowed]
+                    assert neighbors(g, t, allowed) == inside, (g.edges(), key, allowed)
+
+
 def test_neighbors_single_vertex():
     g = generate("path", 1)
     assert neighbors(g, from_parent_vector([-1])) == []
@@ -93,6 +106,18 @@ def test_bfs_witness_is_shortest_and_replays():
         assert d == bfs_distance(g, a, b)
         assert len(seq) == d
         assert apply_sequence(g, a, seq) == b
+
+
+def test_bfs_witness_sequences_are_pinned():
+    # pinned: the first shortest sequence in breadth-first, child-vertex
+    # order
+    assert bfs_witness(K3, chain(K3, [0, 1, 2]), chain(K3, [2, 1, 0])) == \
+        (3, [(0, 1), (0, 2), (1, 2)])
+    p5 = generate("path", 5)
+    a = from_parent_vector([2, 0, -1, 4, 2])
+    b = from_parent_vector([1, -1, 3, 1, 3])
+    assert bfs_witness(p5, a, b) == (4, [(0, 1), (2, 1), (4, 3), (2, 3)])
+    assert bfs_witness(p5, a, b, cap=3) == (OVER_CAP, None)
 
 
 def test_distance_is_a_metric_on_small_flip_graphs():
@@ -194,9 +219,22 @@ def test_chains_of_complete_graphs_count_inversions():
 
 def test_exports():
     fg = enumerate_all(P3)
-    dot = to_dot(fg)
-    assert dot.count("label=") == 5
-    assert dot.count(" -- ") == 5  # the rotation graph of a path on 3 is a 5-cycle
+    # the rotation graph of a path on 3 is a 5-cycle; the DOT text lists
+    # the nodes and the sorted edges of to_json_dict
+    assert to_dot(fg) == "\n".join([
+        "graph rotations {",
+        '  t0 [label="(-1,0,1)"];',
+        '  t1 [label="(-1,2,0)"];',
+        '  t2 [label="(1,-1,1)"];',
+        '  t3 [label="(1,2,-1)"];',
+        '  t4 [label="(2,0,-1)"];',
+        "  t0 -- t1;",
+        "  t0 -- t2;",
+        "  t1 -- t4;",
+        "  t2 -- t3;",
+        "  t3 -- t4;",
+        "}",
+    ]) + "\n"
     d = to_json_dict(fg)
     assert len(d["nodes"]) == 5
     assert len(d["edges"]) == 5

@@ -51,8 +51,6 @@ from .fpt import (
     fpt_decide,
     mark,
     premark,
-    trace_of,
-    type_of,
     want_parent,
 )
 from .graphs import Graph, generate, is_connected, load_graph, save_graph

@@ -8,6 +8,13 @@ type; out of each sibling group of equal type only k+1 representatives
 need to be kept.  The surviving marked set M has size independent of
 vertex degrees, and an iterative-deepening search over rotations with
 both endpoints in M decides the distance bound exactly.
+
+Each component is walked once, and keeps its members' child lists;
+typing, premarking and marking read those lists.  Types are computed in
+one bottom-up pass per component, deepest level first.  A vertex's
+trace is read off an integer mask of the ancestor depths its subtree
+touches, built from its own G-neighbours, its component children's
+masks and one walk of each child subtree hanging outside the ball.
 """
 
 from __future__ import annotations
@@ -17,18 +24,12 @@ from typing import Iterable, Mapping
 
 # rotate is not called here; the benchmark's tracer wraps fpt.rotate to count calls from fpt.
 from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, rotate  # noqa: F401
-from .errors import (
-    DisconnectedGraph,
-    InvalidParameter,
-    NotInComponent,
-    OrderViolation,
-)
+from .errors import DisconnectedGraph, InvalidParameter
 from .graphs import Graph, is_connected
 
 SAME = "same"
 WANT_ROOT = "root"
 
-Trace = tuple[int, ...]
 TypeId = int
 
 
@@ -113,23 +114,25 @@ class Component:
     """One connected piece of the ball, as a subtree of t.
 
     zroot is the unique member closest to the root of t; every other
-    member lies strictly below it.
+    member lies strictly below it.  kids maps each member with children
+    inside the component to those children, in ascending order.
     """
 
-    __slots__ = ("vertices", "zroot", "tree")
+    __slots__ = ("vertices", "zroot", "tree", "kids")
 
-    def __init__(self, tree: ElimTree, vertices: frozenset[int]):
+    def __init__(self, tree: ElimTree, vertices: frozenset[int], zroot: int,
+                 kids: dict[int, tuple[int, ...]]):
         self.tree = tree
         self.vertices = vertices
-        self.zroot = min(vertices, key=lambda v: (tree.depth(v), v))
+        self.zroot = zroot
+        self.kids = kids
 
     def __contains__(self, v: int) -> bool:
         return v in self.vertices
 
     def children(self, v: int) -> tuple[int, ...]:
         """Children of v that stay inside the component."""
-        verts = self.vertices
-        return tuple([c for c in self.tree.children(v) if c in verts])
+        return self.kids.get(v, ())
 
     def depth(self, v: int) -> int:
         """Tree distance from v up to zroot."""
@@ -140,28 +143,42 @@ class Component:
 
 
 def components(t: ElimTree, ball_vertices: Iterable[int]) -> list[Component]:
-    """Connected components of the ball inside t, sorted by zroot."""
+    """Connected components of the ball inside t, sorted by zroot.
+
+    One walk per component finds its members, its zroot (the member
+    whose parent lies outside the ball) and each member's children
+    inside the ball, which are all in its component.
+    """
     inside = set(ball_vertices)
+    parent, children = t.parent, t._children
     out = []
-    todo = sorted(inside)
     seen: set[int] = set()
-    for start in todo:
+    for start in inside:
         if start in seen:
             continue
         comp = {start}
+        kids: dict[int, tuple[int, ...]] = {}
+        zroot = start
         stack = [start]
         while stack:
             u = stack.pop()
-            p = t.parent[u]
-            if p != ROOT and p in inside and p not in comp:
+            p = parent[u]
+            if p == ROOT or p not in inside:
+                zroot = u
+            elif p not in comp:
                 comp.add(p)
                 stack.append(p)
-            for c in t._children[u]:
-                if c in inside and c not in comp:
-                    comp.add(c)
-                    stack.append(c)
+            below = children[u]
+            if below:
+                inner = [c for c in below if c in inside]
+                if inner:
+                    kids[u] = below if len(inner) == len(below) else tuple(inner)
+                    for c in inner:
+                        if c not in comp:
+                            comp.add(c)
+                            stack.append(c)
         seen |= comp
-        out.append(Component(t, frozenset(comp)))
+        out.append(Component(t, frozenset(comp), zroot, kids))
     out.sort(key=lambda z: z.zroot)
     return out
 
@@ -182,41 +199,6 @@ def check_early_no(report: BadnessReport, comps: list[Component], k: int) -> str
     if dirty > k:
         return f"{dirty} ball components contain differing vertices, more than k={k}"
     return None
-
-
-def trace_of(g: Graph, t: ElimTree, z: Component, v: int) -> Trace:
-    """Adjacency fingerprint of v against its ancestors up to zroot.
-
-    Bit i-1 is set when some vertex of the full subtree of v in t is a
-    G-neighbor of the ancestor at tree-distance i from v.  The trace of
-    zroot itself is empty.
-    """
-    if v not in z.vertices:
-        raise NotInComponent(f"vertex {v} not in component of {z.zroot}")
-    anc_index: dict[int, int] = {}
-    cur = v
-    i = 0
-    while cur != z.zroot:
-        cur = t.parent[cur]
-        anc_index[cur] = i
-        i += 1
-    if i == 0:
-        return ()
-    bits = [0] * i
-    unset = i
-    stack = [v]
-    children = t._children
-    while stack:
-        w = stack.pop()
-        for y in g._sorted[w]:
-            j = anc_index.get(y)
-            if j is not None and not bits[j]:
-                bits[j] = 1
-                unset -= 1
-                if unset == 0:
-                    return tuple(bits)
-        stack.extend(children[w])
-    return tuple(bits)
 
 
 class TypeTable:
@@ -248,29 +230,67 @@ class TypeTable:
         return len(self._records)
 
 
-def type_of(g: Graph, t: ElimTree, t2: ElimTree, z: Component, k: int,
-            table: TypeTable, v: int) -> TypeId:
-    """Classify v, requiring its component children to be classified."""
-    if v not in z.vertices:
-        raise NotInComponent(f"vertex {v} not in component of {z.zroot}")
-    counts: dict[TypeId, int] = {}
-    for c in z.children(v):
-        tid = table.vertex_types.get(c)
-        if tid is None:
-            raise OrderViolation(f"child {c} of {v} has no type yet")
-        counts[tid] = counts.get(tid, 0) + 1
-    summary = tuple(sorted((tid, min(k + 1, c)) for tid, c in counts.items()))
-    record = (want_parent(t, t2, v), trace_of(g, t, z, v), summary)
-    tid = table.intern(record)
-    table.vertex_types[v] = tid
-    return tid
-
-
 def compute_types(g: Graph, t: ElimTree, t2: ElimTree, z: Component, k: int,
                   table: TypeTable) -> None:
-    """Classify every vertex of the component, deepest first."""
-    for v in sorted(z.vertices, key=lambda x: (-t.depth(x), x)):
-        type_of(g, t, t2, z, k, table, v)
+    """Classify every vertex of the component in one bottom-up pass.
+
+    A vertex's record is (want-parent, trace, child summary).  Its trace
+    has one bit per proper ancestor inside the component, nearest first:
+    whether some vertex of its full subtree in t is a G-neighbour of that
+    ancestor.  It is read off a mask whose bit j stands for the ancestor
+    at component depth j: the OR of the depths of the vertex's own
+    G-neighbours above it (in an elimination tree each is an ancestor),
+    of its component children's masks less its own bit, and of one walk
+    of its child subtrees outside the component, stopped once every bit
+    is set.  Levels are visited deepest first and ascending within a
+    level, so records are interned in (-depth, vertex) order.
+    """
+    zd = t.depth(z.zroot)
+    depth, tkids, adj = t._depth, t._children, g._sorted
+    kids, verts, vertex_types = z.kids, z.vertices, table.vertex_types
+    cap = k + 1
+    levels = [[z.zroot]]
+    while True:
+        nxt = [c for v in levels[-1] for c in kids.get(v, ())]
+        if not nxt:
+            break
+        nxt.sort()
+        levels.append(nxt)
+    masks: dict[int, int] = {}
+    for d in range(len(levels) - 1, -1, -1):
+        top = zd + d
+        full = (1 << d) - 1
+        traces: dict[int, tuple[int, ...]] = {}
+        for v in levels[d]:
+            mask = 0
+            for y in adj[v]:
+                dy = depth[y]
+                if zd <= dy < top:
+                    mask |= 1 << (dy - zd)
+            inner = kids.get(v, ())
+            summary = ()
+            if inner:
+                counts: dict[TypeId, int] = {}
+                for c in inner:
+                    mask |= masks[c]
+                    tid = vertex_types[c]
+                    counts[tid] = counts.get(tid, 0) + 1
+                mask &= full
+                summary = tuple(sorted((tid, min(cap, m)) for tid, m in counts.items()))
+            if mask != full and len(inner) < len(tkids[v]):
+                stack = [c for c in tkids[v] if c not in verts]
+                while stack and mask != full:
+                    w = stack.pop()
+                    for y in adj[w]:
+                        dy = depth[y]
+                        if zd <= dy < top:
+                            mask |= 1 << (dy - zd)
+                    stack.extend(tkids[w])
+            masks[v] = mask
+            trace = traces.get(mask)
+            if trace is None:
+                trace = traces[mask] = tuple([mask >> j & 1 for j in range(d - 1, -1, -1)])
+            vertex_types[v] = table.intern((want_parent(t, t2, v), trace, summary))
 
 
 def premark(z: Component, types: Mapping[int, TypeId], k: int) -> frozenset[int]:
@@ -280,12 +300,15 @@ def premark(z: Component, types: Mapping[int, TypeId], k: int) -> frozenset[int]
     is always kept.
     """
     kept = {z.zroot}
-    for v in sorted(z.vertices):
-        groups: dict[TypeId, list[int]] = {}
-        for c in z.children(v):
-            groups.setdefault(types[c], []).append(c)
-        for tid in groups:
-            kept.update(groups[tid][: k + 1])
+    cap = k + 1
+    for inner in z.kids.values():
+        sizes: dict[TypeId, int] = {}
+        for c in inner:
+            tid = types[c]
+            m = sizes.get(tid, 0)
+            if m < cap:
+                sizes[tid] = m + 1
+                kept.add(c)
     return frozenset(kept)
 
 
@@ -297,11 +320,12 @@ def mark(z: Component, premarked: frozenset[int], report: BadnessReport) -> froz
     component joins along with all its component ancestors, whether or
     not they were premarked.
     """
+    kids = z.kids
     mz = {z.zroot}
     stack = [z.zroot]
     while stack:
         v = stack.pop()
-        for c in z.children(v):
+        for c in kids.get(v, ()):
             if c in premarked and c not in mz:
                 mz.add(c)
                 stack.append(c)
@@ -401,6 +425,8 @@ class Decision:
 
 
 def _component_diameter(z: Component) -> int:
+    kids, parent = z.kids, z.tree.parent
+
     def far(src: int) -> tuple[int, int]:
         dist = {src: 0}
         frontier = [src]
@@ -409,8 +435,8 @@ def _component_diameter(z: Component) -> int:
             nxt = []
             for u in frontier:
                 d = dist[u] + 1
-                p = z.tree.parent[u]
-                nbrs = list(z.children(u))
+                p = parent[u]
+                nbrs = list(kids.get(u, ()))
                 if p != ROOT and p in z.vertices:
                     nbrs.append(p)
                 for w in nbrs:

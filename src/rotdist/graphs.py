@@ -19,7 +19,7 @@ Edge = tuple[int, int]
 class Graph:
     """An undirected simple graph with a fixed vertex count."""
 
-    __slots__ = ("n", "_sets", "_sorted", "names", "_connected")
+    __slots__ = ("n", "m", "_sets", "_sorted", "names", "_connected")
 
     def __init__(self, n: int, edges: Iterable[Edge], names: tuple[str, ...] | None = None):
         if n < 1:
@@ -34,6 +34,7 @@ class Graph:
             sets[v].add(u)
         self.n = n
         self._sets = tuple(frozenset(s) for s in sets)
+        self.m = sum(map(len, sets)) // 2
         self._sorted = tuple(tuple(sorted(s)) for s in sets)
         self.names = names
         self._connected: bool | None = None
@@ -55,10 +56,6 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return tuple((u, v) for u in range(self.n) for v in self._sorted[u] if u < v)
-
-    @property
-    def m(self) -> int:
-        return sum(len(s) for s in self._sets) // 2
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -161,7 +158,8 @@ def from_json_dict(d: dict) -> Graph:
     InvalidParameter (or InvalidVertex for an unknown vertex name).
 
     n and numeric vertices must be JSON integers, not floats or
-    booleans; edges must be a list of pairs and names a list.
+    booleans; edges must be a list of pairs and names a list of n
+    distinct labels.
     """
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise InvalidParameter("malformed graph object: needs keys 'n' and 'edges'")
@@ -171,11 +169,17 @@ def from_json_dict(d: dict) -> Graph:
     if not isinstance(raw, list):
         raise InvalidParameter(f"malformed graph object: edges must be a list, got {raw!r}")
     names = None
+    index: dict[str, int] = {}
     if "names" in d:
         if not isinstance(d["names"], list):
             raise InvalidParameter(f"malformed graph object: names must be a list, got {d['names']!r}")
         names = tuple(str(x) for x in d["names"])
-    index = {name: i for i, name in enumerate(names)} if names else {}
+        if len(names) != n:
+            raise InvalidParameter(f"malformed graph object: names lists {len(names)} labels for n={n}")
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != n:
+            twice = next(x for i, x in enumerate(names) if index[x] != i)
+            raise InvalidParameter(f"malformed graph object: name {twice!r} is listed twice")
 
     def resolve(x) -> int:
         if isinstance(x, str):
@@ -190,7 +194,10 @@ def from_json_dict(d: dict) -> Graph:
     for e in raw:
         if not isinstance(e, list) or len(e) != 2:
             raise InvalidParameter(f"malformed graph object: edge {e!r} is not a pair")
-        edges.append((resolve(e[0]), resolve(e[1])))
+        u, v = e
+        if names is not None or type(u) is not int or type(v) is not int:
+            u, v = resolve(u), resolve(v)
+        edges.append((u, v))
     return Graph(n, edges, names)
 
 

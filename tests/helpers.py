@@ -5,7 +5,19 @@ from __future__ import annotations
 import itertools
 import random
 
-from rotdist import ElimTree, Graph, from_ordering, is_connected
+from rotdist import (
+    ElimTree,
+    Graph,
+    NotInComponent,
+    OrderViolation,
+    TypeTable,
+    classify_bad,
+    components,
+    compute_bcb,
+    from_ordering,
+    is_connected,
+    want_parent,
+)
 
 # number of connected graphs on 1..5 labeled-iso-free vertices
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
@@ -188,3 +200,89 @@ def is_elimination_tree(g: Graph, parent: list[int]) -> bool:
             return False
         work.extend(below.items())
     return True
+
+
+# ---------------------------------------------------------------------------
+# the marking scheme by its definitions, one vertex at a time, to test
+# fpt's one-pass typing, premarking and marking against
+
+def trace_of(g: Graph, t: ElimTree, z, v: int) -> tuple[int, ...]:
+    """Adjacency fingerprint of v against its ancestors up to zroot.
+
+    Bit i-1 is set when some vertex of the full subtree of v in t is a
+    G-neighbor of the ancestor at tree-distance i from v.  The trace of
+    zroot itself is empty.
+    """
+    if v not in z.vertices:
+        raise NotInComponent(f"vertex {v} not in component of {z.zroot}")
+    anc_index: dict[int, int] = {}
+    cur = v
+    i = 0
+    while cur != z.zroot:
+        cur = t.parent[cur]
+        anc_index[cur] = i
+        i += 1
+    bits = [0] * i
+    for w in t.descendants(v):
+        for y in g.neighbors(w):
+            j = anc_index.get(y)
+            if j is not None:
+                bits[j] = 1
+    return tuple(bits)
+
+
+def component_children(t: ElimTree, z, v: int) -> list[int]:
+    """Children of v in t that lie in the component, ascending."""
+    return [c for c in t.children(v) if c in z.vertices]
+
+
+def type_of(g: Graph, t: ElimTree, t2: ElimTree, z, k: int, table: TypeTable, v: int) -> int:
+    """Classify v, requiring its component children to be classified."""
+    if v not in z.vertices:
+        raise NotInComponent(f"vertex {v} not in component of {z.zroot}")
+    counts: dict[int, int] = {}
+    for c in component_children(t, z, v):
+        tid = table.vertex_types.get(c)
+        if tid is None:
+            raise OrderViolation(f"child {c} of {v} has no type yet")
+        counts[tid] = counts.get(tid, 0) + 1
+    summary = tuple(sorted((tid, min(k + 1, c)) for tid, c in counts.items()))
+    record = (want_parent(t, t2, v), trace_of(g, t, z, v), summary)
+    tid = table.intern(record)
+    table.vertex_types[v] = tid
+    return tid
+
+
+def reference_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int):
+    """(type table, premarked, marked per zroot) of every ball component,
+    from type_of on the vertices sorted by (-depth, vertex), k+1
+    lowest-numbered children kept per type, and the marked set grown
+    top-down from zroot, then closed over children-bad vertices."""
+    report = classify_bad(t, t2)
+    table = TypeTable()
+    premarked: set[int] = set()
+    marked = {}
+    for z in components(t, compute_bcb(t, report, k).vertices):
+        for v in sorted(z.vertices, key=lambda x: (-t.depth(x), x)):
+            type_of(g, t, t2, z, k, table, v)
+        kept = {z.zroot}
+        for v in z.vertices:
+            groups: dict[int, list[int]] = {}
+            for c in component_children(t, z, v):
+                groups.setdefault(table.vertex_types[c], []).append(c)
+            for members in groups.values():
+                kept.update(members[:k + 1])
+        mz = {z.zroot}
+        stack = [z.zroot]
+        while stack:
+            for c in component_children(t, z, stack.pop()):
+                if c in kept:
+                    mz.add(c)
+                    stack.append(c)
+        for b in report.children_bad & z.vertices:
+            while b not in mz:
+                mz.add(b)
+                b = t.parent[b]
+        premarked |= kept
+        marked[z.zroot] = frozenset(mz)
+    return table, frozenset(premarked), marked

@@ -268,6 +268,8 @@ def test_bench_rejects_bad_arguments(args, capsys):
     {"n": 3, "edges": [[0, 1, 2]]},
     {"n": 3, "edges": 5},
     {"n": 3, "edges": [[0, 1], [1, 2]], "names": 5},
+    {"n": 3, "edges": [["a", "b"], [1, 2]], "names": ["a", "b", "a"]},
+    {"n": 3, "edges": [[0, 1], [1, 2]], "names": ["a", "b"]},
 ])
 def test_distance_rejects_malformed_graph_file(p3, tmp_path, graph, capsys):
     gpath = str(tmp_path / "bad.json")

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import connected_graphs, random_tree
+from helpers import (
+    component_children,
+    connected_graphs,
+    random_tree,
+    random_tree_edge,
+    reference_marking,
+    trace_of,
+    type_of,
+)
 from rotdist import (
     OVER_CAP,
     ROOT,
@@ -34,8 +42,6 @@ from rotdist import (
     premark,
     restricted_bfs_distance,
     rotate,
-    trace_of,
-    type_of,
     want_parent,
 )
 from rotdist.fpt import compute_types
@@ -140,12 +146,19 @@ def test_check_early_no():
 # ---------------------------------------------------------------------------
 # traces and types
 
+def pass_traces(g, t, z):
+    """The trace of every component vertex, from the one-pass typing."""
+    table = TypeTable()
+    compute_types(g, t, t, z, 1, table)
+    return {v: table.record_of(tid)[1] for v, tid in table.vertex_types.items()}
+
+
 def test_trace_values_on_chain():
     z = whole_component(CHAIN)
     assert z.zroot == 0
-    assert trace_of(P3, CHAIN, z, 0) == ()
-    assert trace_of(P3, CHAIN, z, 1) == (1,)
-    assert trace_of(P3, CHAIN, z, 2) == (1, 0)
+    want = {0: (), 1: (1,), 2: (1, 0)}
+    assert {v: trace_of(P3, CHAIN, z, v) for v in range(3)} == want
+    assert pass_traces(P3, CHAIN, z) == want
 
 
 def test_trace_sees_whole_subtree():
@@ -156,6 +169,19 @@ def test_trace_sees_whole_subtree():
     z = whole_component(t)
     # subtree of 2 in t is {2, 3}; 3 is a G-neighbor of 0
     assert trace_of(g, t, z, 2)[-1] == 1
+    assert pass_traces(g, t, z)[2][-1] == 1
+
+
+def test_trace_sees_subtrees_below_the_component():
+    # on the path 0-...-8 eliminated in order, the subtree of 2 is
+    # {2, ..., 8}; cut at 2, its trace still comes from below the cut
+    g = generate("path", 9)
+    t = from_ordering(g, list(range(9)))
+    g2 = Graph(9, list(g.edges()) + [(0, 8)])
+    z = components(t, [0, 1, 2])[0]
+    assert pass_traces(g, t, z) == {0: (), 1: (1,), 2: (1, 0)}
+    assert pass_traces(g2, t, z) == {0: (), 1: (1,), 2: (1, 1)}
+    assert pass_traces(g2, t, z)[2] == trace_of(g2, t, z, 2)
 
 
 def test_trace_outside_component():
@@ -215,6 +241,80 @@ def test_type_of_requires_children_first():
         type_of(P3, CHAIN, CHAIN_REV, whole_component(CHAIN), 1, table, 0)
     with pytest.raises(NotInComponent):
         type_of(P3, CHAIN, CHAIN_REV, components(CHAIN, [0])[0], 1, table, 2)
+
+
+def _check_marking(g, t, t2, k):
+    """The stages and compute_marking give the records, type ids,
+    premarked and marked sets of the definitions in helpers."""
+    report = classify_bad(t, t2)
+    table = TypeTable()
+    premarked, marked = set(), {}
+    for z in components(t, compute_bcb(t, report, k).vertices):
+        assert z.zroot == min(z.vertices, key=lambda v: (t.depth(v), v))
+        assert all(z.children(v) == tuple(component_children(t, z, v)) for v in z.vertices)
+        compute_types(g, t, t2, z, k, table)
+        pz = premark(z, table.vertex_types, k)
+        premarked |= pz
+        marked[z.zroot] = mark(z, pz, report)
+    ref, ref_premarked, ref_marked = reference_marking(g, t, t2, k)
+    records = [table.record_of(i) for i in range(len(table))]
+    assert records == [ref.record_of(i) for i in range(len(ref))]
+    assert list(table.vertex_types.items()) == list(ref.vertex_types.items())
+    assert (premarked, marked) == (ref_premarked, ref_marked)
+    dec = compute_marking(g, t, t2, k)
+    if dec.early_no is None:
+        assert [dec.table.record_of(i) for i in range(len(dec.table))] == records
+        assert dec.table.vertex_types == table.vertex_types
+        assert dec.premarked == premarked and dec.marked_per_component == marked
+    return dec
+
+
+def test_one_pass_marking_matches_definitions_on_random_graphs():
+    rng = random.Random(16)
+    searched = 0
+    for trial in range(300):
+        n = rng.randrange(2, 41)
+        g = generate("random_connected", n, seed=80_000 + trial, p=rng.choice([0.05, 0.1, 0.3]))
+        t = random_tree(g, rng)
+        k = rng.randrange(1, 5)
+        if rng.random() < 0.7:
+            t2 = t
+            for _ in range(rng.randrange(1, k + 2)):
+                t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        else:
+            t2 = random_tree(g, rng)
+        searched += _check_marking(g, t, t2, k).early_no is None
+    assert searched > 150
+
+
+def test_one_pass_marking_matches_definitions_on_deep_trees():
+    # chains and deep random trees, changed half-way down, so that the
+    # ball is cut off and subtrees hang below its components
+    rng = random.Random(17)
+    cut = 0
+    for trial in range(24):
+        n = rng.randrange(100, 300)
+        if trial % 2:
+            g = generate("random_connected", n, seed=90_000 + trial, p=0.01)
+            t = random_tree(g, rng)
+        else:
+            g = generate(rng.choice(["path", "cycle"]), n)
+            t = from_ordering(g, list(range(n)))
+        k = rng.randrange(1, 4)
+        half = max(1, max(map(t.depth, range(n))) // 2)
+        v = rng.choice([x for x in range(n) if t.depth(x) >= half])
+        t2 = rotate(g, t, (t.parent[v], v))
+        _check_marking(g, t, t2, k)
+        ball = compute_bcb(t, classify_bad(t, t2), k).vertices
+        cut += any(c not in ball for x in ball for c in t.children(x))
+    assert cut == 24
+
+
+def test_one_pass_marking_matches_definitions_on_a_wide_star():
+    for leaves, k in (([17, 1234], 2), ([17, 1234], 1), ([5, 900, 2500], 3)):
+        g, t, t2 = _stacked_star(3000, leaves)
+        dec = _check_marking(g, t, t2, k)
+        assert dec.early_no is None and len(dec.ball.vertices) == 3000
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,19 @@ def test_json_bad_inputs():
         from_json_dict({"n": 2, "edges": [["x", 1]], "names": ["a", "b"]})
 
 
+def test_json_rejects_duplicate_names():
+    # the edge a-b would otherwise load as (3, 1)
+    d = {"n": 4, "edges": [["a", "b"], ["b", "c"], [0, 1]], "names": ["a", "b", "c", "a"]}
+    with pytest.raises(InvalidParameter, match="name 'a' is listed twice"):
+        from_json_dict(d)
+
+
+@pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"], []])
+def test_json_rejects_names_of_the_wrong_length(names):
+    with pytest.raises(InvalidParameter, match=f"names lists {len(names)} labels for n=3"):
+        from_json_dict({"n": 3, "edges": [[0, 1], [1, 2]], "names": names})
+
+
 def test_json_string_without_names_fails():
     with pytest.raises(InvalidVertex):
         from_json_dict({"n": 2, "edges": [["a", 1]]})

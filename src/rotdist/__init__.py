@@ -20,8 +20,6 @@ from .errors import (
     InvalidTree,
     InvalidVertex,
     NotATreeEdge,
-    NotInComponent,
-    OrderViolation,
     RotDistError,
     SelfLoop,
 )

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 _INVALID_INPUT = (InvalidTree, NotATreeEdge, InvalidOrdering, InvalidVertex,
-                  SelfLoop, InvalidParameter, json.JSONDecodeError, OSError)
+                  SelfLoop, InvalidParameter, OSError)
 
 
 def _load_connected_graph(path: str) -> graphs.Graph:

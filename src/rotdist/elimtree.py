@@ -5,8 +5,12 @@ removing the root must split G into the components hanging below it,
 recursively.  Equivalently: every G-edge joins an ancestor-descendant
 pair, and every subtree induces a connected subgraph of G.
 
-Trees are stored as immutable parent vectors (-1 marks the root) so a
-tree doubles as its own hashable key.
+Trees are stored as immutable parent vectors (-1 marks the root), so
+the parent tuple doubles as a tree's hashable key.  Each tree is walked
+at most once, when first asked for its preorder or depths: the cycle
+check of `from_parent_vector`, `validity_violations`, `depth` and the
+typing stage of `fpt` all read that one kept walk.  `from_ordering`
+builds a tree in one back-to-front pass over the order.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ RotationEdge = tuple[int, int]
 class ElimTree:
     """A rooted spanning tree encoded by its parent vector."""
 
-    __slots__ = ("parent", "root", "_children", "_depth")
+    __slots__ = ("parent", "root", "_children", "_walked")
 
     def __init__(self, parent: Sequence[int]):
         par = tuple(parent)
@@ -53,7 +57,7 @@ class ElimTree:
         self.parent = par
         self.root = root
         self._children = tuple(tuple(b) for b in buckets)
-        self._depth: tuple[int, ...] | None = None
+        self._walked: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @classmethod
     def _of(cls, parent: tuple[int, ...], root: int,
@@ -63,7 +67,7 @@ class ElimTree:
         t.parent = parent
         t.root = root
         t._children = children
-        t._depth = None
+        t._walked = None
         return t
 
     @property
@@ -74,31 +78,30 @@ class ElimTree:
         """Children of v in ascending order."""
         return self._children[v]
 
-    def key(self) -> tuple[int, ...]:
-        """Canonical hashable key: the parent vector itself."""
-        return self.parent
-
     def depth(self, v: int) -> int:
-        if self._depth is None:
-            self._fill_depth()
-        return self._depth[v]
+        return self._walk()[1][v]
 
-    def _fill_depth(self) -> None:
-        depth = [0] * self.n
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            d = depth[u] + 1
-            for c in self._children[u]:
-                depth[c] = d
-                stack.append(c)
-        self._depth = tuple(depth)
-
-    def ancestors(self, v: int) -> Iterator[int]:
-        """v, parent(v), ..., root."""
-        while v != ROOT:
-            yield v
-            v = self.parent[v]
+    def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The vertices reached from the root in depth-first preorder,
+        and the depth of every vertex (0 where the walk never reaches it,
+        which happens only when the parents form a cycle).  Walked on the
+        first call and kept on the tree."""
+        if self._walked is None:
+            children = self._children
+            depth = [0] * len(children)
+            order = []
+            stack = [self.root]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                below = children[u]
+                if below:
+                    d = depth[u] + 1
+                    for c in below:
+                        depth[c] = d
+                    stack.extend(below)
+            self._walked = (tuple(order), tuple(depth))
+        return self._walked
 
     def descendants(self, v: int) -> Iterator[int]:
         """All vertices of the subtree rooted at v, preorder."""
@@ -124,16 +127,11 @@ def from_parent_vector(parent: Sequence[int]) -> ElimTree:
     """Build a tree from an untrusted parent vector.
 
     Beyond the single-root check done by the constructor, verify that
-    every vertex is reachable from the root (no cycles among parents).
+    the walk from the root reaches every vertex (no cycles among
+    parents).  The walk stays on the tree for its later readers.
     """
     t = ElimTree(parent)
-    count = 0
-    stack = [t.root]
-    while stack:
-        u = stack.pop()
-        count += 1
-        stack.extend(t._children[u])
-    if count != t.n:
+    if len(t._walk()[0]) != t.n:
         raise InvalidTree("parent vector contains a cycle")
     return t
 
@@ -142,37 +140,33 @@ def from_ordering(g: Graph, order: Sequence[int]) -> ElimTree:
     """Elimination tree produced by eliminating vertices in `order`.
 
     The first vertex of the order within each recursive component
-    becomes that component's root.
+    becomes that component's root.  Built in one back-to-front pass
+    (Liu's algorithm): the trees built so far span the components of
+    the graph induced by the vertices after v, so when v is added, the
+    root of each tree holding a G-neighbour of v becomes a child of v.
+    Roots are found by union-find with path halving, so the pass costs
+    about O(m log n).
     """
     n = g.n
     if sorted(order) != list(range(n)):
         raise InvalidOrdering(f"order is not a permutation of 0..{n - 1}")
     if not is_connected(g):
         raise DisconnectedGraph("elimination trees are defined for connected graphs")
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
     parent = [ROOT] * n
-    # Each work item is a component (as a set) plus the parent its root
-    # will attach to.
-    work: list[tuple[set[int], int]] = [(set(range(n)), ROOT)]
-    while work:
-        verts, up = work.pop()
-        r = min(verts, key=lambda v: pos[v])
-        parent[r] = up
-        verts.discard(r)
-        while verts:
-            start = next(iter(verts))
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in g._sorted[u]:
-                    if w in verts and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            verts -= comp
-            work.append((comp, r))
+    added = [False] * n
+    # top[x] leads towards the root of the tree holding x; top[r] == r at a root
+    top = list(range(n))
+    for v in reversed(order):
+        for w in g._sorted[v]:
+            if added[w]:
+                r = w
+                while top[r] != r:
+                    top[r] = top[top[r]]
+                    r = top[r]
+                if r != v:
+                    parent[r] = v
+                    top[r] = v
+        added[v] = True
     return ElimTree(parent)
 
 
@@ -184,13 +178,15 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     has a G-edge to its parent.  Given the first condition, the second
     is equivalent to every subtree inducing a connected subgraph.
 
-    One depth-first pass settles both.  It keeps the path from the root
-    to the visited vertex x in `path`, indexed by depth, so a G-neighbour
-    y of x is a proper ancestor exactly when path[depth[y]] == y, and the
-    child of y whose subtree holds x is path[depth[y] + 1].  An edge is
-    found this way at most once, from its lower end, so every G-edge joins
-    an ancestor-descendant pair exactly when g.m of them are found.  The
-    depths are kept in t's depth cache.
+    One pass over the tree's kept walk settles both.  It keeps the path
+    from the root to the visited vertex x in `path`, indexed by depth:
+    the walk is a depth-first preorder, so every vertex visited between
+    an ancestor of x and x lies below that ancestor and cannot overwrite
+    its entry.  A G-neighbour y of x is then a proper ancestor exactly
+    when path[depth[y]] == y, and the child of y whose subtree holds x
+    is path[depth[y] + 1].  An edge is found this way at most once, from
+    its lower end, so every G-edge joins an ancestor-descendant pair
+    exactly when g.m of them are found.
     The messages, the first `limit` of them, are built only for an
     invalid tree: the incomparable edges in sorted order, then the
     subtrees with no edge to their parent, by parent.  A limit below 1
@@ -201,46 +197,35 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     if t.n != g.n:
         return [f"tree has {t.n} vertices, graph has {g.n}"]
     n = t.n
-    parent, children, adj = t.parent, t._children, g._sorted
-    root = t.root
-    # n marks a vertex not yet visited: it is never below a visited depth
-    depth = [n] * n
-    depth[root] = 0
-    path = [root] * n
+    order, depth = t._walk()
+    if len(order) != n:
+        return ["parent vector contains a cycle"]
+    adj = g._sorted
+    path = [0] * n
     hit = [False] * n
-    hit[root] = True
+    hit[t.root] = True
     pairs = 0
-    visited = 1
-    stack = list(children[root])
-    while stack:
-        x = stack.pop()
-        d = depth[parent[x]] + 1
-        depth[x] = d
+    for x in order:
+        d = depth[x]
         path[d] = x
-        visited += 1
         for y in adj[x]:
             dy = depth[y]
             if dy < d and path[dy] == y:
                 pairs += 1
                 hit[path[dy + 1]] = True
-        stack.extend(children[x])
-    if visited != n:
-        return ["parent vector contains a cycle"]
-    t._depth = tuple(depth)
     if pairs == g.m and False not in hit:
         return []
     return _violation_messages(g, t, hit, limit)
 
 
 def _violation_messages(g: Graph, t: ElimTree, hit: list[bool], limit: int) -> list[str]:
-    """The messages of validity_violations for an acyclic tree t whose
-    depth cache is filled, given which subtrees have an edge to their
-    parent."""
+    """The messages of validity_violations for an acyclic tree t, given
+    which subtrees have an edge to their parent."""
     out: list[str] = []
-    depth = t._depth
+    order, depth = t._walk()
     path = [0] * t.n
     comparable = set()
-    for x in t.descendants(t.root):
+    for x in order:
         d = depth[x]
         path[d] = x
         for y in g._sorted[x]:
@@ -521,7 +506,12 @@ def from_json_dict(d: dict) -> ElimTree:
 
 
 def load_tree(path: str) -> ElimTree:
-    return from_json_dict(read_json(path))
+    """The tree in the JSON file at path; errors name the path."""
+    d = read_json(path)
+    try:
+        return from_json_dict(d)
+    except InvalidTree as exc:
+        raise InvalidTree(f"{path}: {exc}") from None
 
 
 def save_tree(t: ElimTree, path: str) -> None:

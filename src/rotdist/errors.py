@@ -42,13 +42,5 @@ class NotATreeEdge(RotDistError):
         self.step = step
 
 
-class NotInComponent(RotDistError):
-    """The vertex does not belong to the given component."""
-
-
-class OrderViolation(RotDistError):
-    """A bottom-up computation was invoked before its children were done."""
-
-
 class InstanceTooLarge(RotDistError):
     """The instance exceeds a size cap for exhaustive exploration."""

@@ -92,18 +92,18 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> FlipGraph:
     if g.n > cap:
         raise InstanceTooLarge(f"refusing to enumerate trees for n={g.n} > cap={cap}")
     start = from_ordering(g, list(range(g.n)))
-    trees: dict[TreeKey, ElimTree] = {start.key(): start}
+    trees: dict[TreeKey, ElimTree] = {start.parent: start}
     adj: dict[TreeKey, tuple[tuple[RotationEdge, TreeKey], ...]] = {}
     queue = [start]
     for t in queue:
         arcs = []
         for edge, t2 in neighbors(g, t):
-            k2 = t2.key()
+            k2 = t2.parent
             arcs.append((edge, k2))
             if k2 not in trees:
                 trees[k2] = t2
                 queue.append(t2)
-        adj[t.key()] = tuple(arcs)
+        adj[t.parent] = tuple(arcs)
     return FlipGraph(g, trees, adj)
 
 
@@ -115,7 +115,7 @@ def enumerate_orderings(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> set[TreeKey]:
     """
     if g.n > cap:
         raise InstanceTooLarge(f"refusing {g.n}! orderings with n={g.n} > cap={cap}")
-    return {from_ordering(g, perm).key() for perm in itertools.permutations(range(g.n))}
+    return {from_ordering(g, perm).parent for perm in itertools.permutations(range(g.n))}
 
 
 def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
@@ -127,8 +127,8 @@ def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
     if t.n > BFS_CAP_REQUIRED_ABOVE and cap is None:
         raise InstanceTooLarge(
             f"n={t.n} > {BFS_CAP_REQUIRED_ABOVE}: bfs search requires an explicit cap")
-    target = t2.key()
-    pred: dict[TreeKey, tuple[TreeKey, RotationEdge] | None] = {t.key(): None}
+    target = t2.parent
+    pred: dict[TreeKey, tuple[TreeKey, RotationEdge] | None] = {t.parent: None}
     frontier = [t]
     depth = 0
     while target not in pred:
@@ -137,9 +137,9 @@ def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
         depth += 1
         nxt = []
         for cur in frontier:
-            key = cur.key()
+            key = cur.parent
             for edge, t3 in neighbors(g, cur, allowed):
-                k3 = t3.key()
+                k3 = t3.parent
                 if k3 not in pred:
                     pred[k3] = (key, edge)
                     nxt.append(t3)

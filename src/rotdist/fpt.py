@@ -9,12 +9,15 @@ need to be kept.  The surviving marked set M has size independent of
 vertex degrees, and an iterative-deepening search over rotations with
 both endpoints in M decides the distance bound exactly.
 
-Each component is walked once, and keeps its members' child lists;
-typing, premarking and marking read those lists.  Types are computed in
-one bottom-up pass per component, deepest level first.  A vertex's
-trace is read off an integer mask of the ancestor depths its subtree
-touches, built from its own G-neighbours, its component children's
-masks and one walk of each child subtree hanging outside the ball.
+The bad vertices are read off the two parent vectors alone.  Each
+component is walked once, and keeps its members' child lists; typing,
+premarking, marking and the diameter in the --explain dump read those
+lists.  Types are computed in one bottom-up pass per component, deepest
+level first, with depths from the source tree's one kept walk.  A
+vertex's trace is read off an integer mask of the ancestor depths its
+subtree touches, built from its own G-neighbours, its component
+children's masks and one walk of each child subtree hanging outside
+the ball.
 """
 
 from __future__ import annotations
@@ -54,19 +57,20 @@ class Ball:
 
 
 def classify_bad(t: ElimTree, t2: ElimTree) -> BadnessReport:
-    """Compare the two trees vertex by vertex.
+    """Compare the two trees by their parent vectors alone.
 
-    The child sets are compared as sets and the parents as values, with
-    the root sentinel treated like any other parent.  children_bad is
-    empty exactly when the trees are equal.
+    The parents are compared as values, with the root sentinel treated
+    like any other parent.  The child set of x differs exactly when some
+    vertex has x as its parent in one tree and not in the other, so the
+    children-bad vertices are the old and new parents of the parent-bad
+    ones, less the root sentinel.  children_bad is empty exactly when
+    the trees are equal.
     """
-    cb = []
-    pb = []
-    for v in range(t.n):
-        if t._children[v] != t2._children[v]:
-            cb.append(v)
-        if t.parent[v] != t2.parent[v]:
-            pb.append(v)
+    par, par2 = t.parent, t2.parent
+    pb = [v for v in range(t.n) if par[v] != par2[v]]
+    cb = {par[v] for v in pb}
+    cb.update(par2[v] for v in pb)
+    cb.discard(ROOT)
     return BadnessReport(frozenset(cb), frozenset(pb))
 
 
@@ -133,10 +137,6 @@ class Component:
     def children(self, v: int) -> tuple[int, ...]:
         """Children of v that stay inside the component."""
         return self.kids.get(v, ())
-
-    def depth(self, v: int) -> int:
-        """Tree distance from v up to zroot."""
-        return self.tree.depth(v) - self.tree.depth(self.zroot)
 
     def __repr__(self) -> str:
         return f"Component(zroot={self.zroot}, size={len(self.vertices)})"
@@ -245,8 +245,9 @@ def compute_types(g: Graph, t: ElimTree, t2: ElimTree, z: Component, k: int,
     is set.  Levels are visited deepest first and ascending within a
     level, so records are interned in (-depth, vertex) order.
     """
-    zd = t.depth(z.zroot)
-    depth, tkids, adj = t._depth, t._children, g._sorted
+    depth = t._walk()[1]
+    zd = depth[z.zroot]
+    tkids, adj = t._children, g._sorted
     kids, verts, vertex_types = z.kids, z.vertices, table.vertex_types
     cap = k + 1
     levels = [[z.zroot]]
@@ -425,31 +426,25 @@ class Decision:
 
 
 def _component_diameter(z: Component) -> int:
-    kids, parent = z.kids, z.tree.parent
-
-    def far(src: int) -> tuple[int, int]:
-        dist = {src: 0}
-        frontier = [src]
-        best = (0, src)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                d = dist[u] + 1
-                p = parent[u]
-                nbrs = list(kids.get(u, ()))
-                if p != ROOT and p in z.vertices:
-                    nbrs.append(p)
-                for w in nbrs:
-                    if w not in dist:
-                        dist[w] = d
-                        best = max(best, (d, w))
-                        nxt.append(w)
-            frontier = nxt
-        return best
-
-    _, x = far(z.zroot)
-    d, _ = far(x)
-    return d
+    """Edges on the longest path inside the component: one bottom-up
+    pass that joins, at each vertex, its two tallest child heights."""
+    kids = z.kids
+    order = [z.zroot]
+    for v in order:
+        order.extend(kids.get(v, ()))
+    height: dict[int, int] = {}
+    best = 0
+    for v in reversed(order):
+        first = second = 0
+        for c in kids.get(v, ()):
+            h = height[c] + 1
+            if h > first:
+                first, second = h, first
+            elif h > second:
+                second = h
+        height[v] = first
+        best = max(best, first + second)
+    return best
 
 
 def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:

@@ -17,7 +17,12 @@ Edge = tuple[int, int]
 
 
 class Graph:
-    """An undirected simple graph with a fixed vertex count."""
+    """An undirected simple graph with a fixed vertex count.
+
+    Built once from its edges: `_sets[v]` holds the neighbours of v for
+    membership tests and `_sorted[v]` the same neighbours ascending for
+    iteration.  Neither is changed after construction.
+    """
 
     __slots__ = ("n", "m", "_sets", "_sorted", "names", "_connected")
 
@@ -33,7 +38,7 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
-        self._sets = tuple(frozenset(s) for s in sets)
+        self._sets = sets
         self.m = sum(map(len, sets)) // 2
         self._sorted = tuple(tuple(sorted(s)) for s in sets)
         self.names = names
@@ -64,10 +69,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._sets == other._sets
+        return self.n == other.n and self._sorted == other._sorted
 
     def __hash__(self) -> int:
-        return hash((self.n, self._sets))
+        return hash((self.n, self._sorted))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -203,19 +208,27 @@ def from_json_dict(d: dict) -> Graph:
 
 def read_json(path: str):
     """The JSON document in the file at path.  A file that is not UTF-8,
-    or nests deeper than the parser can follow, raises InvalidParameter;
-    other malformed JSON raises json.JSONDecodeError."""
+    not JSON, or nests deeper than the parser can follow raises
+    InvalidParameter naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise InvalidParameter(f"{path} is not UTF-8 text: {exc}") from None
+        except ValueError as exc:
+            # malformed JSON, or an integer too long to convert
+            raise InvalidParameter(f"{path}: {exc}") from None
         except RecursionError:
             raise InvalidParameter(f"{path} nests too deeply to read as JSON") from None
 
 
 def load_graph(path: str) -> Graph:
-    return from_json_dict(read_json(path))
+    """The graph in the JSON file at path; errors name the path."""
+    d = read_json(path)
+    try:
+        return from_json_dict(d)
+    except (InvalidParameter, InvalidVertex, SelfLoop) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_graph(g: Graph, path: str) -> None:

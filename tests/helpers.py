@@ -6,10 +6,10 @@ import itertools
 import random
 
 from rotdist import (
+    BadnessReport,
     ElimTree,
     Graph,
-    NotInComponent,
-    OrderViolation,
+    RotDistError,
     TypeTable,
     classify_bad,
     components,
@@ -21,6 +21,14 @@ from rotdist import (
 
 # number of connected graphs on 1..5 labeled-iso-free vertices
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+
+
+class NotInComponent(RotDistError):
+    """The vertex does not belong to the given component."""
+
+
+class OrderViolation(RotDistError):
+    """A vertex was typed before its children."""
 
 
 def connected_graphs(n: int) -> list[Graph]:
@@ -58,6 +66,26 @@ def random_tree_edge(t: ElimTree, rng: random.Random) -> tuple[int, int]:
 
 def preorder(t: ElimTree) -> list[int]:
     return list(t.descendants(t.root))
+
+
+def tubes(parent) -> frozenset[frozenset[int]]:
+    """The vertex sets of the non-root subtrees of a parent vector: the
+    tubes of the maximal tubing the tree stands for."""
+    below: list[set[int]] = [{v} for v in range(len(parent))]
+    for v in range(len(parent)):
+        u = parent[v]
+        while u != -1:
+            below[u].add(v)
+            u = parent[u]
+    return frozenset(frozenset(s) for v, s in enumerate(below) if parent[v] != -1)
+
+
+def reference_badness(t: ElimTree, t2: ElimTree) -> BadnessReport:
+    """classify_bad by its definition: each vertex's child sets and
+    parents compared between the trees."""
+    return BadnessReport(
+        frozenset(v for v in range(t.n) if set(t.children(v)) != set(t2.children(v))),
+        frozenset(v for v in range(t.n) if t.parent[v] != t2.parent[v]))
 
 
 def tree_distance_matrix(t: ElimTree) -> list[list[int]]:

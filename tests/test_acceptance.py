@@ -83,7 +83,7 @@ def sweep():
                         if dec.yes:
                             res["replays_checked"] += 1
                             reached = apply_sequence(g, ta, dec.witness)
-                            ok = (reached.key() == kb
+                            ok = (reached.parent == kb
                                   and len(dec.witness) <= k
                                   and all(u in dec.marked and v in dec.marked
                                           for u, v in dec.witness))
@@ -230,7 +230,7 @@ def test_criterion_06_complete_graph_distances_count_inversions():
     fg = enumerate_all(g)
     import itertools
     perms = list(itertools.permutations(range(4)))
-    keys = {p: from_ordering(g, list(p)).key() for p in perms}
+    keys = {p: from_ordering(g, list(p)).parent for p in perms}
     checked = 0
     for p in perms:
         dm = fg.distances_from(keys[p])

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
+from helpers import NotInComponent
 from rotdist import from_ordering, generate
 from rotdist.cli import main
 from rotdist.elimtree import save_tree
-from rotdist.errors import NotInComponent
 from rotdist.graphs import save_graph
 
 
@@ -239,7 +239,7 @@ def test_malformed_json_file(tmp_path, capsys):
     with open(gpath, "w") as fh:
         fh.write("{not json")
     assert main(["diameter", "-g", gpath]) == 2
-    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: INVALID_INPUT: {gpath}: ")
 
 
 def test_missing_file(capsys):
@@ -270,6 +270,8 @@ def test_bench_rejects_bad_arguments(args, capsys):
     {"n": 3, "edges": [[0, 1], [1, 2]], "names": 5},
     {"n": 3, "edges": [["a", "b"], [1, 2]], "names": ["a", "b", "a"]},
     {"n": 3, "edges": [[0, 1], [1, 2]], "names": ["a", "b"]},
+    {"n": 3, "edges": [[0, 0], [1, 2]]},
+    {"n": 3, "edges": [[0, 5], [1, 2]]},
 ])
 def test_distance_rejects_malformed_graph_file(p3, tmp_path, graph, capsys):
     gpath = str(tmp_path / "bad.json")
@@ -277,7 +279,40 @@ def test_distance_rejects_malformed_graph_file(p3, tmp_path, graph, capsys):
         json.dump(graph, fh)
     rc = main(["distance", "-g", gpath, "-s", p3["chain"], "-t", p3["rev"], "-k", "2"])
     assert rc == 2
-    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: INVALID_INPUT: {gpath}: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"parent": [1, 2, 1]}',
+    '{"parent": [-1, -1, 1]}',
+    '{"parent": [-1, 5, 1]}',
+    '{"parent": [-1, 2, 1]}',
+    '{"parent": [-1, 0.5, 1]}',
+    '{"parent": 3}',
+    "{not json",
+    '{"parent": [-1, ' + "1" * 5000 + ", 1]}",
+], ids=["no-root", "two-roots", "out-of-range", "cycle", "non-integer", "no-list", "not-json",
+        "long-integer"])
+@pytest.mark.parametrize("which", ["-s", "-t"])
+def test_broken_tree_file_is_named(p3, tmp_path, text, which, capsys):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write(text)
+    trees = {"-s": p3["chain"], "-t": p3["rev"], which: bad}
+    rc = main(["distance", "-g", p3["graph"], "-s", trees["-s"], "-t", trees["-t"], "-k", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    good = p3["rev"] if which == "-s" else p3["chain"]
+    assert err.startswith(f"error: INVALID_INPUT: {bad}: ") and good not in err
+
+
+def test_broken_tree_file_message_is_pinned(p3, tmp_path, capsys):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump({"parent": [-1, 2, 1]}, fh)
+    assert main(["validate", "-g", p3["graph"], "-s", p3["chain"], "-t", bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: INVALID_INPUT: {bad}: parent vector contains a cycle\n")
 
 
 @pytest.mark.parametrize("parent", [[-1, 0.7, 1], [-1, True, 1]])

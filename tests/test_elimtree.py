@@ -78,7 +78,38 @@ def test_from_ordering_reaches_every_tree():
         for t in fg.trees.values():
             assert from_ordering(g, preorder(t)) == t
         again = random_tree(g, rng)
-        assert again.key() in fg.trees
+        assert again.parent in fg.trees
+
+
+@pytest.mark.parametrize("family", ["path", "cycle", "star", "complete",
+                                    "complete_split", "random_connected"])
+def test_from_ordering_puts_each_vertex_before_its_descendants(family):
+    # a valid elimination tree whose every vertex comes before its
+    # descendants in the order is the one tree the order determines
+    rng = random.Random(family)
+    for i in range(60):
+        n = rng.randint(3, 14)
+        g = generate(family, n, seed=i, p=rng.choice((0.1, 0.3, 0.6)))
+        order = list(range(n))
+        rng.shuffle(order)
+        t = from_ordering(g, order)
+        pos = {v: i for i, v in enumerate(order)}
+        assert is_elimination_tree(g, list(t.parent)), (g.edges(), order)
+        assert all(pos[p] < pos[v] for v, p in enumerate(t.parent) if p != -1)
+
+
+@pytest.mark.parametrize("family", ["path", "star", "cycle"])
+def test_from_ordering_at_n_3000(family):
+    n = 3000
+    g = generate(family, n)
+    for order in (list(range(n)), list(range(n))[::-1],
+                  random.Random(family).sample(range(n), n)):
+        t = from_ordering(g, order)
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        assert validity_violations(g, t) == []
+        assert all(pos[p] < pos[v] for v, p in enumerate(t.parent) if p != -1)
 
 
 def test_from_parent_vector_errors():
@@ -98,7 +129,6 @@ def test_tree_accessors():
     assert t.children(1) == (0, 2)
     assert t.children(0) == ()
     assert t.depth(0) == 1 and t.depth(1) == 0
-    assert list(t.ancestors(0)) == [0, 1]
     assert set(t.descendants(1)) == {0, 1, 2}
 
 
@@ -172,6 +202,15 @@ def _random_parent_vector(g, rng: random.Random) -> tuple[str, list[int]]:
     return kind, parent
 
 
+def _climb(parent, v: int) -> int:
+    """Steps from v up to the root of an acyclic parent vector."""
+    steps = 0
+    while parent[v] != -1:
+        v = parent[v]
+        steps += 1
+    return steps
+
+
 def test_validity_matches_definition_and_reference():
     rng = random.Random(11)
     seen = {"valid": 0, "cycle": 0, "vertices, graph has": 0,
@@ -188,7 +227,7 @@ def test_validity_matches_definition_and_reference():
             assert validity_violations(g, ElimTree(parent), limit) == \
                 reference_violations(g, ElimTree(parent), limit), (g.edges(), parent, limit)
         if "cycle" not in " ".join(full) and len(parent) == n:
-            assert t._depth == tuple(len(list(t.ancestors(v))) - 1 for v in range(n))
+            assert [t.depth(v) for v in range(n)] == [_climb(parent, v) for v in range(n)]
         seen["valid"] += not full
         for key in seen:
             seen[key] += any(key in msg for msg in full)

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from helpers import connected_graphs, inversions_between, random_tree
+from helpers import connected_graphs, inversions_between, random_tree, tubes
 from rotdist import (
     OVER_CAP,
     InstanceTooLarge,
@@ -54,6 +54,21 @@ def test_neighbors_inside_allowed_are_the_filtered_neighbors():
 def test_neighbors_single_vertex():
     g = generate("path", 1)
     assert neighbors(g, from_parent_vector([-1])) == []
+
+
+def test_rotations_are_the_one_tube_flips():
+    # two maximal tubings are adjacent exactly when they differ in one
+    # tube (Carr and Devadoss), checked apart from the touch test
+    checked = 0
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            fg = enumerate_all(g)
+            tubings = {key: tubes(key) for key in fg.trees}
+            for key, mine in tubings.items():
+                one_apart = {k2 for k2, theirs in tubings.items() if len(mine ^ theirs) == 2}
+                assert {k2 for _, k2 in fg.adj[key]} == one_apart, (g.edges(), key)
+                checked += 1
+    assert checked == 1836
 
 
 def test_enumerate_counts():

@@ -3,10 +3,13 @@ import random
 import pytest
 
 from helpers import (
+    NotInComponent,
+    OrderViolation,
     component_children,
     connected_graphs,
     random_tree,
     random_tree_edge,
+    reference_badness,
     reference_marking,
     trace_of,
     type_of,
@@ -19,8 +22,6 @@ from rotdist import (
     BadnessReport,
     DisconnectedGraph,
     InvalidParameter,
-    NotInComponent,
-    OrderViolation,
     TypeTable,
     apply_sequence,
     bfs_distance,
@@ -90,6 +91,17 @@ def test_single_rotation_changes_at_most_three_child_sets():
         assert len(classify_bad(t, t2).children_bad) <= 3
 
 
+def test_classify_bad_matches_the_child_set_comparison():
+    rng = random.Random(17)
+    for trial in range(400):
+        g = generate("random_connected", rng.randrange(1, 10), seed=trial, p=0.3)
+        t = random_tree(g, rng)
+        t2 = random_tree(g, rng) if trial % 2 else t
+        for _ in range(rng.randrange(3) if g.n > 1 else 0):
+            t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        assert classify_bad(t, t2) == reference_badness(t, t2), (g.edges(), t, t2)
+
+
 def test_want_parent():
     assert want_parent(CHAIN, STAR1, 2) == SAME
     assert want_parent(CHAIN, STAR1, 0) == 1
@@ -128,7 +140,6 @@ def test_components_split_and_order():
     assert comps[1].vertices == {5, 6}
     assert comps[0].children(1) == (2,)
     assert comps[1].children(6) == ()
-    assert comps[1].depth(6) == 1
     assert 2 in comps[0] and 2 not in comps[1]
 
 
@@ -495,7 +506,7 @@ def test_fpt_matches_bfs_on_all_small_graphs():
                         assert dec.yes == (d <= k), (g.edges(), ka, kb, k, d)
                         if dec.yes:
                             got = apply_sequence(g, fg.trees[ka], dec.witness)
-                            assert got.key() == kb
+                            assert got.parent == kb
                             assert len(dec.witness) <= k
                             assert all(u in dec.marked and v in dec.marked
                                        for u, v in dec.witness)

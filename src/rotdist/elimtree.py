@@ -16,7 +16,7 @@ builds a tree in one back-to-front pass over the order.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -103,14 +103,6 @@ class ElimTree:
             self._walked = (tuple(order), tuple(depth))
         return self._walked
 
-    def descendants(self, v: int) -> Iterator[int]:
-        """All vertices of the subtree rooted at v, preorder."""
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            yield u
-            stack.extend(self._children[u])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElimTree):
             return NotImplemented
@@ -188,21 +180,33 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     its lower end, so every G-edge joins an ancestor-descendant pair
     exactly when g.m of them are found.
     The messages, the first `limit` of them, are built only for an
-    invalid tree: the incomparable edges in sorted order, then the
-    subtrees with no edge to their parent, by parent.  A limit below 1
+    invalid tree, by the same pass run again to collect the edges it
+    finds: the incomparable edges in sorted order, then the subtrees
+    with no edge to their parent, by parent.  A limit below 1
     raises InvalidParameter, since it would hide every message.
     """
     if limit < 1:
         raise InvalidParameter(f"limit must be at least 1, got {limit}")
     if t.n != g.n:
         return [f"tree has {t.n} vertices, graph has {g.n}"]
-    n = t.n
-    order, depth = t._walk()
-    if len(order) != n:
+    if len(t._walk()[0]) != t.n:
         return ["parent vector contains a cycle"]
+    pairs, hit = _ancestor_pass(g, t)
+    if pairs == g.m and False not in hit:
+        return []
+    return _violation_messages(g, t, limit)
+
+
+def _ancestor_pass(g: Graph, t: ElimTree, comparable: set | None = None):
+    """The pass of validity_violations over an acyclic tree t: the
+    number of G-edges found to join an ancestor-descendant pair, and
+    for each vertex whether it is the root or its subtree has a G-edge
+    to its parent.  With `comparable`, each edge found is also added to
+    it as (smaller, larger)."""
+    order, depth = t._walk()
     adj = g._sorted
-    path = [0] * n
-    hit = [False] * n
+    path = [0] * t.n
+    hit = [False] * t.n
     hit[t.root] = True
     pairs = 0
     for x in order:
@@ -213,25 +217,16 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
             if dy < d and path[dy] == y:
                 pairs += 1
                 hit[path[dy + 1]] = True
-    if pairs == g.m and False not in hit:
-        return []
-    return _violation_messages(g, t, hit, limit)
+                if comparable is not None:
+                    comparable.add((y, x) if y < x else (x, y))
+    return pairs, hit
 
 
-def _violation_messages(g: Graph, t: ElimTree, hit: list[bool], limit: int) -> list[str]:
-    """The messages of validity_violations for an acyclic tree t, given
-    which subtrees have an edge to their parent."""
+def _violation_messages(g: Graph, t: ElimTree, limit: int) -> list[str]:
+    """The messages of validity_violations for an acyclic tree t."""
     out: list[str] = []
-    order, depth = t._walk()
-    path = [0] * t.n
-    comparable = set()
-    for x in order:
-        d = depth[x]
-        path[d] = x
-        for y in g._sorted[x]:
-            dy = depth[y]
-            if dy < d and path[dy] == y:
-                comparable.add((y, x) if y < x else (x, y))
+    comparable: set[tuple[int, int]] = set()
+    hit = _ancestor_pass(g, t, comparable)[1]
     for u, v in g.edges():
         if (u, v) not in comparable:
             out.append(f"edge ({u},{v}) joins incomparable vertices")

@@ -18,6 +18,21 @@ vertex's trace is read off an integer mask of the ancestor depths its
 subtree touches, built from its own G-neighbours, its component
 children's masks and one walk of each child subtree hanging outside
 the ball.
+
+The search is cut by a lower bound (IDA*).  An elimination tree is a
+maximal tubing whose tubes are its subtrees, and one rotation trades
+exactly one tube for one (Carr and Devadoss, Topology Appl. 2006), so
+the number of marked vertices whose current subtree is no subtree of
+the target can fall by at most one per rotation: a node where it
+exceeds the budget left is a dead end.  The count is kept from additive
+hashes of the subtree vertex sets, two updated per rotation; a
+collision can only make a set look like a target subtree, which weakens
+the bound and never prunes a live branch, so the verdict and the
+witness stay exact.  The hashes are set up over the marked vertices and
+the ancestors of the bad ones only: every other subtree is the same set
+in t, in t2 and in every tree the search visits, so it enters as one
+summand.  The set-up then loops in Python over those vertices alone,
+not over all n, plus one pass in C over each one's child tuple.
 """
 
 from __future__ import annotations
@@ -392,7 +407,8 @@ class Decision:
     premarked: frozenset[int] = frozenset()
     marked: frozenset[int] = frozenset()
     marked_per_component: dict[int, frozenset[int]] = field(default_factory=dict)
-    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "memo_hits": 0})
+    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "memo_hits": 0,
+                                                  "bound_cuts": 0})
 
     def to_json_dict(self) -> dict:
         comps = [
@@ -470,9 +486,57 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     return dec
 
 
+def _tube_hashes(t: ElimTree, t2: ElimTree, report: BadnessReport,
+                 marked: frozenset[int]) -> tuple[dict[int, int], set[int]]:
+    """Additive hashes of the subtrees of t that the search can change,
+    and of the subtrees of t2 they can equal.
+
+    Only the vertices in keep, the marked set together with the bad
+    vertices and their ancestors, are tracked; keep is closed upwards in
+    both trees.  The subtree of any other vertex never changes in the
+    search and is the same in t and t2, so each subtree hanging from a
+    kept vertex enters as one atom, hashed by its root alone: a set's
+    hash is the sum of hash((x,)) over the kept vertices and atom roots
+    it holds.  Those atoms are the same children in t and t2, so their
+    sum is taken once per kept vertex, in one pass over its t-children,
+    and shared by both trees.  Returns the hash of every kept subtree of
+    t, and the set of the hashes of the kept subtrees of t2; a subtree of
+    a marked vertex can equal no other subtree of t2.
+    """
+    par, par2 = t.parent, t2.parent
+    above: set[int] = set()
+    for x in report.bad:
+        while x != ROOT and x not in above:
+            above.add(x)
+            x = par[x]
+    keep = above | marked
+    below: dict[int, list[int]] = {x: [] for x in keep}
+    below2: dict[int, list[int]] = {x: [] for x in keep}
+    for x in keep:
+        if par[x] != ROOT:
+            below[par[x]].append(x)
+        if par2[x] != ROOT:
+            below2[par2[x]].append(x)
+    tkids = t._children
+    own = {x: hash((x,)) + sum(map(hash, zip(tkids[x]))) - sum(map(hash, zip(below[x])))
+           for x in keep}
+
+    def hashes(root: int, kids: dict[int, list[int]]) -> dict[int, int]:
+        order = [root]
+        for x in order:
+            order.extend(kids[x])
+        out: dict[int, int] = {}
+        for x in reversed(order):
+            out[x] = own[x] + sum([out[c] for c in kids[x]])
+        return out
+
+    return hashes(t.root, below), set(hashes(t2.root, below2).values())
+
+
 def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
-    """Iterative-deepening search over rotations inside the marked set;
-    on success it sets `dec.yes` and a shortest `dec.witness`.
+    """Iterative-deepening search over rotations inside the marked set,
+    cut by the tube lower bound; on success it sets `dec.yes` and a
+    shortest `dec.witness`.
 
     The search walks one mutable copy of t, applying each rotation in
     place and undoing it by the reverse rotation, so a node costs the
@@ -482,6 +546,15 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
     where a rotation changes a parent.  Frozen, it is the memo key; the
     target is reached when it equals t2's difference from t, which
     lies on `parent_bad`, the vertices whose parents differ.
+
+    A node is cut when h, the number of marked vertices whose current
+    subtree is no subtree of t2, exceeds its budget (see the module
+    docstring).  A rotation of (u, v) changes the subtrees of u and v
+    only: the new subtree of v is the old one of u, and the new one of u
+    is the old one less the old subtree of v plus those of the moved
+    children, so h moves by the update of two hashes.  The budget-1 pass
+    runs without the bound, since it could cut only its root; the hashes
+    (`_tube_hashes`) are built when that pass fails.
     """
     marked, stats = dec.marked, dec.stats
     m_list = sorted(marked)
@@ -491,6 +564,8 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
     parent = tree.parent
     diff: dict[int, int] = {}
     seq: list[RotationEdge] = []
+    sub: dict[int, int] = {}
+    target: set[int] = set()
 
     def note(u: int, v: int, moved) -> None:
         """Record in diff the parents of u, v and moved, just changed."""
@@ -501,11 +576,14 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
             else:
                 diff[x] = p
 
-    def dfs(budget: int, memo: dict) -> bool:
+    def dfs(budget: int, h: int, memo: dict) -> bool:
         stats["nodes_expanded"] += 1
         if diff == goal:
             return True
         if budget == 0:
+            return False
+        if h > budget:
+            stats["bound_cuts"] += 1
             return False
         key = frozenset(diff.items())
         if memo.get(key, 0) >= budget:
@@ -518,15 +596,32 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
             moved = tree.rotate(u, v)
             note(u, v, moved)
             seq.append((u, v))
-            if dfs(budget - 1, memo):
+            hn = h
+            if sub:
+                hu = sub[u]
+                hv = sub[v]
+                new = hu - hv
+                for w in moved:
+                    new += sub[w] if w in sub else hash((w,))
+                sub[v] = hu
+                sub[u] = new
+                hn += (new not in target) - (hv not in target)
+            if dfs(budget - 1, hn, memo):
                 return True
             seq.pop()
             tree.undo(u, v, moved)
             note(u, v, moved)
+            if sub:
+                sub[u] = hu
+                sub[v] = hv
         memo[key] = budget
         return False
 
+    h = 0
     for budget in range(1, dec.k + 1):
-        if dfs(budget, {}):
+        if budget == 2:
+            sub, target = _tube_hashes(t, t2, dec.report, marked)
+            h = sum(1 for x in marked if sub[x] not in target)
+        if dfs(budget, h, {}):
             dec.yes, dec.witness = True, tuple(seq)
             return

@@ -16,6 +16,7 @@ from rotdist import (
     compute_bcb,
     from_ordering,
     is_connected,
+    rotate,
     want_parent,
 )
 
@@ -64,8 +65,17 @@ def random_tree_edge(t: ElimTree, rng: random.Random) -> tuple[int, int]:
     return t.parent[v], v
 
 
+def descendants(t: ElimTree, v: int):
+    """All vertices of the subtree of t rooted at v, preorder."""
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        yield u
+        stack.extend(t.children(u))
+
+
 def preorder(t: ElimTree) -> list[int]:
-    return list(t.descendants(t.root))
+    return list(descendants(t, t.root))
 
 
 def tubes(parent) -> frozenset[frozenset[int]]:
@@ -78,6 +88,40 @@ def tubes(parent) -> frozenset[frozenset[int]]:
             below[u].add(v)
             u = parent[u]
     return frozenset(frozenset(s) for v, s in enumerate(below) if parent[v] != -1)
+
+
+def reference_search(g: Graph, t: ElimTree, t2: ElimTree, marked, k: int):
+    """The FPT search without its lower bound: iterative deepening over
+    rotations with both ends in `marked`, tried in the order of their
+    lower end, with one memo per budget of the trees already searched at
+    that budget or more.  Returns (the first shortest witness found or
+    None, nodes expanded, memo hits)."""
+    moves = sorted(marked)
+    seq: list[tuple[int, int]] = []
+    count = {"nodes": 0, "memo_hits": 0}
+
+    def dfs(cur: ElimTree, budget: int, memo: dict) -> bool:
+        count["nodes"] += 1
+        if cur == t2:
+            return True
+        if budget == 0:
+            return False
+        if memo.get(cur.parent, 0) >= budget:
+            count["memo_hits"] += 1
+            return False
+        for v in moves:
+            u = cur.parent[v]
+            if u == -1 or u not in marked:
+                continue
+            seq.append((u, v))
+            if dfs(rotate(g, cur, (u, v)), budget - 1, memo):
+                return True
+            seq.pop()
+        memo[cur.parent] = budget
+        return False
+
+    found = any(dfs(t, budget, {}) for budget in range(1, k + 1))
+    return (tuple(seq) if found else None), count["nodes"], count["memo_hits"]
 
 
 def reference_badness(t: ElimTree, t2: ElimTree) -> BadnessReport:
@@ -132,7 +176,7 @@ def reference_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     out: list[str] = []
     if t.n != g.n:
         return [f"tree has {t.n} vertices, graph has {g.n}"]
-    count = sum(1 for _ in t.descendants(t.root))
+    count = sum(1 for _ in descendants(t, t.root))
     if count != t.n:
         return ["parent vector contains a cycle"]
     tin = [0] * t.n
@@ -251,7 +295,7 @@ def trace_of(g: Graph, t: ElimTree, z, v: int) -> tuple[int, ...]:
         anc_index[cur] = i
         i += 1
     bits = [0] * i
-    for w in t.descendants(v):
+    for w in descendants(t, v):
         for y in g.neighbors(w):
             j = anc_index.get(y)
             if j is not None:

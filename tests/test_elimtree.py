@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    descendants,
     is_elimination_tree,
     preorder,
     random_tree,
@@ -129,7 +130,7 @@ def test_tree_accessors():
     assert t.children(1) == (0, 2)
     assert t.children(0) == ()
     assert t.depth(0) == 1 and t.depth(1) == 0
-    assert set(t.descendants(1)) == {0, 1, 2}
+    assert set(descendants(t, 1)) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def test_rotation_moves_tree_distances_by_at_most_one():
 def _touching_children(g, t, u, v):
     """Reference touch test: children of v whose subtree has a G-edge to u."""
     return {w for w in t.children(v)
-            if any(g.has_edge(u, x) for x in t.descendants(w))}
+            if any(g.has_edge(u, x) for x in descendants(t, w))}
 
 
 def _child_sets(state):

@@ -58,17 +58,27 @@ def test_neighbors_single_vertex():
 
 def test_rotations_are_the_one_tube_flips():
     # two maximal tubings are adjacent exactly when they differ in one
-    # tube (Carr and Devadoss), checked apart from the touch test
-    checked = 0
-    for n in range(1, 6):
-        for g in connected_graphs(n):
-            fg = enumerate_all(g)
-            tubings = {key: tubes(key) for key in fg.trees}
-            for key, mine in tubings.items():
-                one_apart = {k2 for k2, theirs in tubings.items() if len(mine ^ theirs) == 2}
-                assert {k2 for _, k2 in fg.adj[key]} == one_apart, (g.edges(), key)
-                checked += 1
-    assert checked == 1836
+    # tube (Carr and Devadoss), checked apart from the touch test, on
+    # every connected graph with n <= 5 and on seeded ones with n = 6.
+    # Every maximal tubing has n - 1 tubes, so two differ in one tube
+    # exactly when they share all but one: each tubing is filed under
+    # itself less each of its tubes.
+    graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    graphs += [generate("random_connected", 6, seed=s, p=0.2 + 0.05 * (s % 8))
+               for s in range(24)]
+    checked = {"n<=5": 0, "n=6": 0}
+    for g in graphs:
+        fg = enumerate_all(g)
+        tubings = {key: tubes(key) for key in fg.trees}
+        shared: dict[frozenset, list] = {}
+        for key, mine in tubings.items():
+            for tube in mine:
+                shared.setdefault(mine - {tube}, []).append(key)
+        for key, mine in tubings.items():
+            one_apart = {k2 for tube in mine for k2 in shared[mine - {tube}] if k2 != key}
+            assert {k2 for _, k2 in fg.adj[key]} == one_apart, (g.edges(), key)
+            checked["n=6" if g.n == 6 else "n<=5"] += 1
+    assert checked == {"n<=5": 1836, "n=6": 10340}
 
 
 def test_enumerate_counts():

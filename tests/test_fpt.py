@@ -7,11 +7,14 @@ from helpers import (
     OrderViolation,
     component_children,
     connected_graphs,
+    descendants,
     random_tree,
     random_tree_edge,
     reference_badness,
     reference_marking,
+    reference_search,
     trace_of,
+    tubes,
     type_of,
 )
 from rotdist import (
@@ -45,7 +48,7 @@ from rotdist import (
     rotate,
     want_parent,
 )
-from rotdist.fpt import compute_types
+from rotdist.fpt import _tube_hashes, compute_types
 
 P3 = generate("path", 3)
 CHAIN = from_parent_vector([-1, 0, 1])      # 0 -> 1 -> 2
@@ -449,7 +452,7 @@ def test_compute_marking_leaves_the_verdict_to_the_search():
     dec = compute_marking(P3, CHAIN, CHAIN_REV, 2)
     assert dec.early_no is None
     assert not dec.yes and dec.witness is None
-    assert dec.stats == {"nodes_expanded": 0, "memo_hits": 0}
+    assert dec.stats == {"nodes_expanded": 0, "memo_hits": 0, "bound_cuts": 0}
     assert dec.marked == {0, 1, 2} and dec.marked_per_component == {0: {0, 1, 2}}
     assert len(dec.table) == 3
 
@@ -464,7 +467,7 @@ def test_early_decisions_dump_the_same_keys():
                 fpt_decide(g, t, t2, 1)):             # a certificate
         d = dec.to_json_dict()
         assert list(d) == list(searched)
-        assert d["search"] == {"nodes_expanded": 0, "memo_hits": 0}
+        assert d["search"] == {"nodes_expanded": 0, "memo_hits": 0, "bound_cuts": 0}
 
 
 def test_decision_dump_structure():
@@ -525,7 +528,7 @@ def test_optimal_witnesses_touch_few_sibling_subtrees():
         used = {x for e in seq for x in e}
         for v in range(g.n):
             touched = sum(
-                1 for c in a.children(v) if used & set(a.descendants(c))
+                1 for c in a.children(v) if used & set(descendants(a, c))
             )
             assert touched <= d
         done += 1
@@ -575,29 +578,107 @@ def _random_walk():
     return g, t, apply_sequence(g, t, [(538, 815), (538, 940)])
 
 
-# (instance, k) -> (witness, nodes_expanded, memo_hits), as recorded from
-# the search that built a new tree per node; the order in which moves
-# are tried, and the memo, must not change what the search explores.
+# (instance, k) -> the witness, nodes expanded and memo hits of the
+# search without the tube bound (helpers.reference_search), then the
+# nodes expanded, memo hits and bound cuts of fpt_decide.  The bound must
+# leave the witness as it is.  The budget-1 pass runs without it, so the
+# counts at k = 1 stay.
 SEARCH_PINS = [
-    (lambda: _stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0),
-    (lambda: _stacked_star(3000, [17, 1234]), 1, None, 5, 0),
+    (lambda: _stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 16, 0, 3),
+    (lambda: _stacked_star(3000, [17, 1234]), 1, None, 5, 0, 5, 0, 0),
     (lambda: _stacked_star(3000, [5, 900, 2500]), 3,
-     ((0, 5), (0, 900), (0, 2500)), 315, 4),
-    (lambda: _stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0),
-    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121),
-    (_path_walk, 2, None, 401, 0),
-    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0),
-    (_random_walk, 1, None, 13, 0),
+     ((0, 5), (0, 900), (0, 2500)), 315, 4, 28, 0, 10),
+    (lambda: _stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 8, 0, 1),
+    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 79, 0, 32),
+    (_path_walk, 2, None, 401, 0, 21, 0, 1),
+    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 49, 0, 12),
+    (_random_walk, 1, None, 13, 0, 13, 0, 0),
 ]
 
 
-@pytest.mark.parametrize("make,k,witness,nodes,memo_hits", SEARCH_PINS)
-def test_search_is_pinned(make, k, witness, nodes, memo_hits):
+def _pin_id(i, pin):
+    """The instance, k, witness and the unbounded search's two counts."""
+    make, k, witness, nodes, memo_hits = pin[:5]
+    return "-".join([make.__name__, str(k), "None" if witness is None else f"witness{i}",
+                     str(nodes), str(memo_hits)])
+
+
+@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,memo_hits,bound_cuts",
+                         SEARCH_PINS, ids=[_pin_id(i, pin) for i, pin in enumerate(SEARCH_PINS)])
+def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes, memo_hits,
+                          bound_cuts):
     g, t, t2 = make()
     dec = fpt_decide(g, t, t2, k)
     assert dec.early_no is None
-    assert (dec.witness, dec.stats["nodes_expanded"], dec.stats["memo_hits"]) == \
-        (witness, nodes, memo_hits)
+    assert (dec.witness, dec.stats) == \
+        (witness, {"nodes_expanded": nodes, "memo_hits": memo_hits, "bound_cuts": bound_cuts})
+    assert reference_search(g, t, t2, dec.marked, k) == (witness, plain_nodes, plain_memo_hits)
+
+
+def test_the_bound_cuts_only_dead_branches():
+    # the search with the tube bound against the same search without it,
+    # on targets a few rotations away and on random ones
+    rng = random.Random(19)
+    searched = cut = 0
+    for trial in range(900):
+        n = rng.randrange(2, 9)
+        g = generate("random_connected", n, seed=110_000 + trial, p=rng.choice([0.2, 0.4]))
+        t = random_tree(g, rng)
+        k = rng.randrange(1, 4)
+        t2 = random_tree(g, rng)
+        if trial % 3:
+            t2 = t
+            for _ in range(rng.randrange(1, k + 2)):
+                t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        dec = fpt_decide(g, t, t2, k)
+        if dec.early_no is not None or t == t2:
+            continue
+        witness, nodes, _ = reference_search(g, t, t2, dec.marked, k)
+        assert (dec.yes, dec.witness) == (witness is not None, witness), (g.edges(), t, t2, k)
+        assert dec.stats["nodes_expanded"] <= nodes
+        searched += 1
+        cut += dec.stats["bound_cuts"] > 0
+    assert searched >= 600 and cut > 100
+
+
+def test_the_tube_bound_is_at_most_the_distance():
+    # each rotation trades one tube for one, so a tree lacks at most d of
+    # the tubes of a tree d rotations away
+    pairs = tight = 0
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            fg = enumerate_all(g)
+            tubings = {key: tubes(key) for key in fg.trees}
+            for ka in fg.trees:
+                for kb, d in fg.distances_from(ka).items():
+                    h = len(tubings[ka] - tubings[kb])
+                    assert h <= d, (g.edges(), ka, kb)
+                    pairs += 1
+                    tight += h == d
+    assert pairs == sum(len(enumerate_all(g)) ** 2
+                        for n in range(1, 6) for g in connected_graphs(n))
+    assert 0 < tight < pairs
+
+
+def test_tube_hashes_match_the_subtree_sets():
+    # a kept subtree's hash is among the target's exactly when its vertex
+    # set is a subtree of t2, on deep trees with atoms hanging below
+    rng = random.Random(20)
+    for trial in range(120):
+        n = rng.randrange(2, 60)
+        g = generate("random_connected", n, seed=120_000 + trial, p=rng.choice([0.05, 0.2]))
+        t = random_tree(g, rng)
+        t2 = t
+        for _ in range(rng.randrange(1, 4)):
+            t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        dec = compute_marking(g, t, t2, 3)
+        if dec.early_no is not None or t == t2:
+            continue
+        sub, target = _tube_hashes(t, t2, dec.report, dec.marked)
+        assert dec.marked <= set(sub) and t.root in sub and t2.root in sub
+        of_t2 = {frozenset(descendants(t2, y)) for y in range(n)}
+        for x, hx in sub.items():
+            assert (hx in target) == (frozenset(descendants(t, x)) in of_t2), (t, t2, x)
 
 
 def test_search_matches_restricted_bfs():

@@ -19,29 +19,35 @@ subtree touches, built from its own G-neighbours, its component
 children's masks and one walk of each child subtree hanging outside
 the ball.
 
-The search is cut by a lower bound (IDA*).  An elimination tree is a
-maximal tubing whose tubes are its subtrees, and one rotation trades
-exactly one tube for one (Carr and Devadoss, Topology Appl. 2006), so
-the number of marked vertices whose current subtree is no subtree of
-the target can fall by at most one per rotation: a node where it
-exceeds the budget left is a dead end.  The count is kept from additive
-hashes of the subtree vertex sets, two updated per rotation; a
-collision can only make a set look like a target subtree, which weakens
-the bound and never prunes a live branch, so the verdict and the
-witness stay exact.  The hashes are set up over the marked vertices and
-the ancestors of the bad ones only: every other subtree is the same set
-in t, in t2 and in every tree the search visits, so it enters as one
-summand.  The set-up then loops in Python over those vertices alone,
-not over all n, plus one pass in C over each one's child tuple.
+The search is cut two ways.  An elimination tree is a maximal tubing
+whose tubes are its non-root subtrees, and a rotation of (u, v) trades
+exactly one tube, the subtree of v, for one (Carr and Devadoss,
+Topology Appl. 2006).  So the number of tubes of the current tree that
+the target lacks falls by at most one per rotation, and a node where it
+exceeds the budget left is a dead end (IDA*).  And a shortest path never
+removes a tube that its two ends share: Manneville and Pilaud show that
+every graph associahedron has the non-leaving-face property, that each
+geodesic between two vertices of a face stays in the face (Sem. Lothar.
+Combin. 73, 2015; for the associahedron, Sleator, Tarjan and Thurston,
+JAMS 1988).  So the search never rotates (u, v) when the subtree of v is
+a subtree of the target: the face rule.  Both cuts keep every shortest
+path and the search keeps no memo, so the witness is the first shortest
+sequence in the order the plain search tries its moves.  Both read one
+index of which subtrees are subtrees of the target (`_tube_index`),
+set up over the marked vertices and the ancestors of the bad ones only:
+exact, since the face rule must never skip a move a geodesic makes, and
+additive, so that a rotation updates it at u and v only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, moved_children
 # rotate is not called here; the benchmark's tracer wraps fpt.rotate to count calls from fpt.
-from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, rotate  # noqa: F401
+from .elimtree import rotate  # noqa: F401
 from .errors import DisconnectedGraph, InvalidParameter
 from .graphs import Graph, is_connected
 
@@ -407,8 +413,8 @@ class Decision:
     premarked: frozenset[int] = frozenset()
     marked: frozenset[int] = frozenset()
     marked_per_component: dict[int, frozenset[int]] = field(default_factory=dict)
-    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "memo_hits": 0,
-                                                  "bound_cuts": 0})
+    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "bound_cuts": 0,
+                                                  "face_cuts": 0})
 
     def to_json_dict(self) -> dict:
         comps = [
@@ -486,22 +492,30 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     return dec
 
 
-def _tube_hashes(t: ElimTree, t2: ElimTree, report: BadnessReport,
-                 marked: frozenset[int]) -> tuple[dict[int, int], set[int]]:
-    """Additive hashes of the subtrees of t that the search can change,
-    and of the subtrees of t2 they can equal.
 
-    Only the vertices in keep, the marked set together with the bad
-    vertices and their ancestors, are tracked; keep is closed upwards in
-    both trees.  The subtree of any other vertex never changes in the
-    search and is the same in t and t2, so each subtree hanging from a
-    kept vertex enters as one atom, hashed by its root alone: a set's
-    hash is the sum of hash((x,)) over the kept vertices and atom roots
-    it holds.  Those atoms are the same children in t and t2, so their
-    sum is taken once per kept vertex, in one pass over its t-children,
-    and shared by both trees.  Returns the hash of every kept subtree of
-    t, and the set of the hashes of the kept subtrees of t2; a subtree of
-    a marked vertex can equal no other subtree of t2.
+
+def _tube_index(t: ElimTree, t2: ElimTree, report: BadnessReport,
+                marked: frozenset[int]):
+    """An exact, additive index of which subtrees of t are subtrees of t2.
+
+    Tracked are the vertices in keep, the marked ones with the bad ones
+    and their ancestors; keep is closed upwards in both trees.  Any other
+    subtree never changes in the search and is the same set in t and t2,
+    so each one hanging from a kept vertex is one element, an atom, the
+    same in both trees.  The elements are numbered in a preorder of t2
+    with each kept vertex's atoms, in vertex order, right after it, so
+    each kept subtree of t2 is a run of positions.  A set of elements is
+    kept as its count, sum of positions and sum of squares, packed into
+    one integer in fields too wide to carry, so sets add and subtract as
+    integers.  For a given count and sum, distinct integers have the
+    least sum of squares exactly when they form a run, so a kept subtree
+    of t is a subtree of t2 exactly when its packed sums are in `target`,
+    those of the kept subtrees of t2.
+
+    Returns the packed sums of each kept subtree of t, by vertex;
+    `target`; and `atom(w)`, the packed sums of the atom w, also stored
+    under w.  An atom is numbered only when the search first moves it,
+    so the set-up loops in Python over the kept vertices alone.
     """
     par, par2 = t.parent, t2.parent
     above: set[int] = set()
@@ -518,110 +532,136 @@ def _tube_hashes(t: ElimTree, t2: ElimTree, report: BadnessReport,
         if par2[x] != ROOT:
             below2[par2[x]].append(x)
     tkids = t._children
-    own = {x: hash((x,)) + sum(map(hash, zip(tkids[x]))) - sum(map(hash, zip(below[x])))
-           for x in keep}
+    bits = 3 * t.n.bit_length()
+    start: dict[int, int] = {}
+    own: dict[int, int] = {}
+    order = []
+    pos = 0
+    stack = [t2.root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        start[x] = pos
+        c = len(tkids[x]) - len(below[x]) + 1
+        own[x] = _run(pos, c, bits)
+        pos += c
+        stack.extend(below2[x])
+    target = own.copy()
+    for x in reversed(order):
+        if par2[x] != ROOT:
+            target[par2[x]] += target[x]
+    order = [t.root]
+    for x in order:
+        order.extend(below[x])
+    sums = own.copy()
+    for x in reversed(order):
+        if par[x] != ROOT:
+            sums[par[x]] += sums[x]
 
-    def hashes(root: int, kids: dict[int, list[int]]) -> dict[int, int]:
-        order = [root]
-        for x in order:
-            order.extend(kids[x])
-        out: dict[int, int] = {}
-        for x in reversed(order):
-            out[x] = own[x] + sum([out[c] for c in kids[x]])
-        return out
+    def atom(w: int) -> int:
+        x = par[w]
+        p = start[x] + 1 + bisect_left(tkids[x], w) - sum(c < w for c in below[x])
+        sums[w] = one = _run(p, 1, bits)
+        return one
 
-    return hashes(t.root, below), set(hashes(t2.root, below2).values())
+    return sums, set(target.values()), atom
+
+
+def _run(p: int, c: int, bits: int) -> int:
+    """The packed sums of the c positions from p: the count, the sum and
+    the sum of squares, in fields of `bits` bits."""
+    if c == 1:
+        return (p * p << 2 * bits) + (p << bits) + 1
+    s1 = c * p + c * (c - 1) // 2
+    s2 = c * p * p + p * c * (c - 1) + (c - 1) * c * (2 * c - 1) // 6
+    return (s2 << 2 * bits) + (s1 << bits) + c
 
 
 def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
     """Iterative-deepening search over rotations inside the marked set,
-    cut by the tube lower bound; on success it sets `dec.yes` and a
-    shortest `dec.witness`.
+    cut by the tube lower bound and the face rule; on success it sets
+    `dec.yes` and a shortest `dec.witness`.
 
-    The search walks one mutable copy of t, applying each rotation in
-    place and undoing it by the reverse rotation, so a node costs the
-    rotation's touch test, not a copy of the tree.  `diff` maps each
-    vertex whose parent differs from t to its parent: it names the
-    current tree exactly, as its parent vector would, and changes only
-    where a rotation changes a parent.  Frozen, it is the memo key; the
-    target is reached when it equals t2's difference from t, which
-    lies on `parent_bad`, the vertices whose parents differ.
+    The budget-1 pass needs no index: a rotation of (u, v) changes the
+    parents of u, v and the moved children only, so it gives t2 exactly
+    when t2 has v under u's parent, u under v, each moved child under u,
+    and no other parent changed; the touch test runs only for a move
+    whose u and v pass.  Deeper passes walk one mutable copy of t,
+    applying each rotation in place and undoing it by the reverse
+    rotation, so a node costs the rotation's touch test, not a copy of
+    the tree.
 
-    A node is cut when h, the number of marked vertices whose current
-    subtree is no subtree of t2, exceeds its budget (see the module
-    docstring).  A rotation of (u, v) changes the subtrees of u and v
-    only: the new subtree of v is the old one of u, and the new one of u
-    is the old one less the old subtree of v plus those of the moved
-    children, so h moves by the update of two hashes.  The budget-1 pass
-    runs without the bound, since it could cut only its root; the hashes
-    (`_tube_hashes`) are built when that pass fails.
+    A rotation changes the subtrees of u and v only: v gets the old
+    subtree of u, and u the old one less the old subtree of v plus those
+    of the moved children, so it updates two packed sums of
+    `_tube_index`.  h, the number of kept vertices whose subtree is no
+    subtree of t2, counts the tubes of the current tree that t2 lacks,
+    since every other subtree is the same in both.  h = 0 is the goal
+    test, and a node whose h exceeds its budget is cut.  Under the face
+    rule every rotation taken removes a tube t2 lacks, so h never rises
+    along a branch; it falls by one when the new subtree of u is a
+    subtree of t2.
     """
     marked, stats = dec.marked, dec.stats
     m_list = sorted(marked)
-    source = t.parent
-    goal = {x: t2.parent[x] for x in dec.report.parent_bad}
+    par, par2 = t.parent, t2.parent
+    parent_bad = dec.report.parent_bad
+
+    stats["nodes_expanded"] += 1
+    for v in m_list:
+        u = par[v]
+        if u == ROOT or u not in marked:
+            continue
+        stats["nodes_expanded"] += 1
+        if par2[v] == par[u] and par2[u] == v:
+            moved = moved_children(g, par, t._children, u, v)
+            if len(moved) + 2 == len(parent_bad) and all(par2[w] == u for w in moved):
+                dec.yes, dec.witness = True, ((u, v),)
+                return
+    if dec.k == 1:
+        return
+
     tree = MutableTree(g, t, marked)
     parent = tree.parent
-    diff: dict[int, int] = {}
+    sums, target, atom = _tube_index(t, t2, dec.report, marked)
     seq: list[RotationEdge] = []
-    sub: dict[int, int] = {}
-    target: set[int] = set()
 
-    def note(u: int, v: int, moved) -> None:
-        """Record in diff the parents of u, v and moved, just changed."""
-        for x in (u, v, *moved):
-            p = parent[x]
-            if p == source[x]:
-                del diff[x]
-            else:
-                diff[x] = p
-
-    def dfs(budget: int, h: int, memo: dict) -> bool:
+    def dfs(budget: int, h: int) -> bool:
         stats["nodes_expanded"] += 1
-        if diff == goal:
+        if h == 0:
             return True
-        if budget == 0:
-            return False
         if h > budget:
             stats["bound_cuts"] += 1
-            return False
-        key = frozenset(diff.items())
-        if memo.get(key, 0) >= budget:
-            stats["memo_hits"] += 1
             return False
         for v in m_list:
             u = parent[v]
             if u == ROOT or u not in marked:
                 continue
+            sv = sums[v]
+            if sv in target:
+                stats["face_cuts"] += 1
+                continue
             moved = tree.rotate(u, v)
-            note(u, v, moved)
+            su = sums[u]
+            new = su - sv
+            for w in moved:
+                new += sums[w] if w in sums else atom(w)
+            sums[v] = su
+            sums[u] = new
             seq.append((u, v))
-            hn = h
-            if sub:
-                hu = sub[u]
-                hv = sub[v]
-                new = hu - hv
-                for w in moved:
-                    new += sub[w] if w in sub else hash((w,))
-                sub[v] = hu
-                sub[u] = new
-                hn += (new not in target) - (hv not in target)
-            if dfs(budget - 1, hn, memo):
+            if dfs(budget - 1, h - (new in target)):
                 return True
             seq.pop()
             tree.undo(u, v, moved)
-            note(u, v, moved)
-            if sub:
-                sub[u] = hu
-                sub[v] = hv
-        memo[key] = budget
+            sums[u] = su
+            sums[v] = sv
         return False
 
-    h = 0
-    for budget in range(1, dec.k + 1):
-        if budget == 2:
-            sub, target = _tube_hashes(t, t2, dec.report, marked)
-            h = sum(1 for x in marked if sub[x] not in target)
-        if dfs(budget, h, {}):
+    h = sum(1 for s in sums.values() if s not in target)
+    for budget in range(2, dec.k + 1):
+        if dfs(budget, h):
             dec.yes, dec.witness = True, tuple(seq)
-            return
+            break
+    # dfs refers to itself; without the cycle, the tree and the graph it
+    # holds are freed now rather than at the next garbage collection
+    del dfs

@@ -84,7 +84,7 @@ def sweep():
                             res["replays_checked"] += 1
                             reached = apply_sequence(g, ta, dec.witness)
                             ok = (reached.parent == kb
-                                  and len(dec.witness) <= k
+                                  and len(dec.witness) == d
                                   and all(u in dec.marked and v in dec.marked
                                           for u, v in dec.witness))
                             if not ok:
@@ -165,7 +165,11 @@ def test_criterion_01_decision_matches_oracle(sweep):
         dec = fpt_decide(g, fg.trees[ka], fg.trees[kb], k)
         # only the row of the sampled source: all-pairs rows of every graph
         # would be kept for the whole test
-        if dec.yes != (fg.distances_from(ka)[kb] <= k):
+        d = fg.distances_from(ka)[kb]
+        if dec.yes != (d <= k) or dec.yes and not (
+                apply_sequence(g, fg.trees[ka], dec.witness).parent == kb
+                and len(dec.witness) == d
+                and all(u in dec.marked and v in dec.marked for u, v in dec.witness)):
             mismatches.append((gkey, ka, kb, k))
         samples += 1
     assert mismatches == []

@@ -205,14 +205,14 @@ def test_bench_csv(capsys):
                "--reps", "2", "--seed", "7"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "family,n,k,reps,median_ms,nodes_expanded,bound_cuts"
+    assert lines[0] == "family,n,k,reps,median_ms,nodes_expanded,bound_cuts,face_cuts"
     assert len(lines) == 3
     assert lines[1].startswith("star,10,1,2,")
     assert lines[2].startswith("star,20,1,2,")
     rc = main(["bench", "--family", "path", "--sizes", "100", "-k", "3", "--reps", "1"])
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
-    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["125", "48"]
+    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["47", "2", "78"]
 
 
 def test_explain_command(p3, capsys):
@@ -229,7 +229,7 @@ def test_explain_command(p3, capsys):
         "components": [{"zroot": 0, "vertices": [0, 1, 2], "diameter": 2}],
         "vertex_types": {"0": 2, "1": 1, "2": 0}, "type_count": 3,
         "premarked": [0, 1, 2], "marked": [0, 1, 2], "marked_per_component": {"0": [0, 1, 2]},
-        "search": {"nodes_expanded": 7, "memo_hits": 0, "bound_cuts": 0}, "method": "fpt",
+        "search": {"nodes_expanded": 6, "bound_cuts": 0, "face_cuts": 1}, "method": "fpt",
     }
     # a NO instance exits 1 but still dumps
     rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],

@@ -48,7 +48,8 @@ from rotdist import (
     rotate,
     want_parent,
 )
-from rotdist.fpt import _tube_hashes, compute_types
+from rotdist.elimtree import MutableTree
+from rotdist.fpt import _tube_index, compute_types
 
 P3 = generate("path", 3)
 CHAIN = from_parent_vector([-1, 0, 1])      # 0 -> 1 -> 2
@@ -452,7 +453,7 @@ def test_compute_marking_leaves_the_verdict_to_the_search():
     dec = compute_marking(P3, CHAIN, CHAIN_REV, 2)
     assert dec.early_no is None
     assert not dec.yes and dec.witness is None
-    assert dec.stats == {"nodes_expanded": 0, "memo_hits": 0, "bound_cuts": 0}
+    assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
     assert dec.marked == {0, 1, 2} and dec.marked_per_component == {0: {0, 1, 2}}
     assert len(dec.table) == 3
 
@@ -467,7 +468,7 @@ def test_early_decisions_dump_the_same_keys():
                 fpt_decide(g, t, t2, 1)):             # a certificate
         d = dec.to_json_dict()
         assert list(d) == list(searched)
-        assert d["search"] == {"nodes_expanded": 0, "memo_hits": 0, "bound_cuts": 0}
+        assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
 
 
 def test_decision_dump_structure():
@@ -483,7 +484,7 @@ def test_decision_dump_structure():
     assert set(d["vertex_types"]) == {"0", "1", "2"}
     assert d["marked"] == [0, 1, 2]
     assert d["search"]["nodes_expanded"] > 0
-    assert d["search"]["memo_hits"] >= 0
+    assert d["search"]["face_cuts"] >= 0
 
 
 def test_stats_present_on_no():
@@ -510,7 +511,7 @@ def test_fpt_matches_bfs_on_all_small_graphs():
                         if dec.yes:
                             got = apply_sequence(g, fg.trees[ka], dec.witness)
                             assert got.parent == kb
-                            assert len(dec.witness) <= k
+                            assert len(dec.witness) == d
                             assert all(u in dec.marked and v in dec.marked
                                        for u, v in dec.witness)
 
@@ -579,47 +580,49 @@ def _random_walk():
 
 
 # (instance, k) -> the witness, nodes expanded and memo hits of the
-# search without the tube bound (helpers.reference_search), then the
-# nodes expanded, memo hits and bound cuts of fpt_decide.  The bound must
-# leave the witness as it is.  The budget-1 pass runs without it, so the
-# counts at k = 1 stay.
+# search without the tube bound and the face rule
+# (helpers.reference_search), then the nodes expanded, bound cuts and face
+# cuts of fpt_decide.  The cuts must leave the witness as it is.  The
+# budget-1 pass runs without them, so the counts at k = 1 stay.
 SEARCH_PINS = [
-    (lambda: _stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 16, 0, 3),
+    (lambda: _stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 9, 0, 7),
     (lambda: _stacked_star(3000, [17, 1234]), 1, None, 5, 0, 5, 0, 0),
     (lambda: _stacked_star(3000, [5, 900, 2500]), 3,
-     ((0, 5), (0, 900), (0, 2500)), 315, 4, 28, 0, 10),
-    (lambda: _stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 8, 0, 1),
-    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 79, 0, 32),
-    (_path_walk, 2, None, 401, 0, 21, 0, 1),
-    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 49, 0, 12),
+     ((0, 5), (0, 900), (0, 2500)), 315, 4, 13, 1, 15),
+    (lambda: _stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 8, 1, 0),
+    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 31, 1, 48),
+    (_path_walk, 2, None, 401, 0, 21, 1, 0),
+    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 22, 0, 27),
     (_random_walk, 1, None, 13, 0, 13, 0, 0),
 ]
 
 
 def _pin_id(i, pin):
-    """The instance, k, witness and the unbounded search's two counts."""
+    """The instance, k, witness and the plain search's two counts."""
     make, k, witness, nodes, memo_hits = pin[:5]
     return "-".join([make.__name__, str(k), "None" if witness is None else f"witness{i}",
                      str(nodes), str(memo_hits)])
 
 
-@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,memo_hits,bound_cuts",
+@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,bound_cuts,face_cuts",
                          SEARCH_PINS, ids=[_pin_id(i, pin) for i, pin in enumerate(SEARCH_PINS)])
-def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes, memo_hits,
-                          bound_cuts):
+def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes, bound_cuts,
+                          face_cuts):
     g, t, t2 = make()
     dec = fpt_decide(g, t, t2, k)
     assert dec.early_no is None
     assert (dec.witness, dec.stats) == \
-        (witness, {"nodes_expanded": nodes, "memo_hits": memo_hits, "bound_cuts": bound_cuts})
+        (witness, {"nodes_expanded": nodes, "bound_cuts": bound_cuts, "face_cuts": face_cuts})
     assert reference_search(g, t, t2, dec.marked, k) == (witness, plain_nodes, plain_memo_hits)
 
 
-def test_the_bound_cuts_only_dead_branches():
-    # the search with the tube bound against the same search without it,
-    # on targets a few rotations away and on random ones
+def _against_the_plain_search():
+    """The stats of fpt_decide on targets a few rotations away and on
+    random ones, each after checking that it gives the verdict and the
+    witness of the search without the bound and the face rule, and
+    expands no more nodes."""
     rng = random.Random(19)
-    searched = cut = 0
+    out = []
     for trial in range(900):
         n = rng.randrange(2, 9)
         g = generate("random_connected", n, seed=110_000 + trial, p=rng.choice([0.2, 0.4]))
@@ -636,9 +639,21 @@ def test_the_bound_cuts_only_dead_branches():
         witness, nodes, _ = reference_search(g, t, t2, dec.marked, k)
         assert (dec.yes, dec.witness) == (witness is not None, witness), (g.edges(), t, t2, k)
         assert dec.stats["nodes_expanded"] <= nodes
-        searched += 1
-        cut += dec.stats["bound_cuts"] > 0
-    assert searched >= 600 and cut > 100
+        out.append(dec.stats)
+    return out
+
+
+def test_the_bound_cuts_only_dead_branches():
+    stats = _against_the_plain_search()
+    assert len(stats) >= 600 and sum(s["bound_cuts"] > 0 for s in stats) > 100
+
+
+def test_the_face_rule_cuts_only_dead_branches():
+    # a geodesic never leaves the face of a tube its ends share
+    # (Manneville and Pilaud), so skipping the rotations that remove one
+    # leaves the first shortest witness as it is
+    stats = _against_the_plain_search()
+    assert len(stats) >= 600 and sum(s["face_cuts"] > 0 for s in stats) > 100
 
 
 def test_the_tube_bound_is_at_most_the_distance():
@@ -660,25 +675,84 @@ def test_the_tube_bound_is_at_most_the_distance():
     assert 0 < tight < pairs
 
 
-def test_tube_hashes_match_the_subtree_sets():
-    # a kept subtree's hash is among the target's exactly when its vertex
-    # set is a subtree of t2, on deep trees with atoms hanging below
+def test_geodesics_never_remove_a_shared_tube():
+    # the non-leaving-face property behind the face rule: a rotation on a
+    # shortest path from a to b never removes a tube that a and b share;
+    # every ordered pair with n <= 5, and two seeded graphs with n = 6
+    graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    graphs += [generate("random_connected", 6, seed=seed, p=0.35) for seed in (0, 1)]
+    steps = 0
+    for g in graphs:
+        fg = enumerate_all(g)
+        tubings = {key: tubes(key) for key in fg.trees}
+        # each rotation removes one tube, the old subtree of its lower end
+        removes = {a: [(c, next(iter(tubings[a] - tubings[c]))) for _, c in fg.adj[a]]
+                   for a in fg.trees}
+        for b in fg.trees:
+            row = fg.distances_from(b)
+            for a, d in row.items():
+                for c, tube in removes[a]:
+                    if row[c] == d - 1:
+                        assert tube not in tubings[b], (g.edges(), a, b, c)
+                        steps += 1
+    assert steps > 1_000_000
+
+
+def test_tube_index_is_exact():
+    # along random rotations inside M, with the packed sums updated as the
+    # search updates them, a kept subtree's sums are in the target exactly
+    # when its vertex set is a subtree of t2; deep trees, with atoms
+    # hanging below the kept vertices and moving between them
     rng = random.Random(20)
+    checked = atoms_moved = 0
     for trial in range(120):
-        n = rng.randrange(2, 60)
-        g = generate("random_connected", n, seed=120_000 + trial, p=rng.choice([0.05, 0.2]))
+        n = rng.randrange(2, 120)
+        g = generate("random_connected", n, seed=120_000 + trial, p=rng.choice([0.03, 0.2]))
         t = random_tree(g, rng)
         t2 = t
-        for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(1, 4)
+        for _ in range(rng.randrange(1, k + 1)):
             t2 = rotate(g, t2, random_tree_edge(t2, rng))
-        dec = compute_marking(g, t, t2, 3)
+        dec = compute_marking(g, t, t2, k)
         if dec.early_no is not None or t == t2:
             continue
-        sub, target = _tube_hashes(t, t2, dec.report, dec.marked)
-        assert dec.marked <= set(sub) and t.root in sub and t2.root in sub
+        sums, target, atom = _tube_index(t, t2, dec.report, dec.marked)
+        keep = set(sums)
+        assert dec.marked <= keep and t.root in keep and t2.root in keep
+        # each kept vertex's share of its subtree's sums, and each atom's
+        # sums, decode to one position; the positions are 0, ..., m - 1
+        bits = 3 * n.bit_length()    # the index's field width
+        mask = (1 << bits) - 1
+        singles = []
+        for y in keep:
+            share = sums[y]
+            for c in t.children(y):
+                one = sums[c] if c in keep else atom(c)
+                share -= one
+                if c not in keep:
+                    singles.append(one)
+            singles.append(share)
+        fields = [(v & mask, v >> bits & mask, v >> 2 * bits) for v in singles]
+        assert all(count == 1 and square == p * p for count, p, square in fields)
+        assert sorted(p for _, p, _ in fields) == list(range(len(fields)))
         of_t2 = {frozenset(descendants(t2, y)) for y in range(n)}
-        for x, hx in sub.items():
-            assert (hx in target) == (frozenset(descendants(t, x)) in of_t2), (t, t2, x)
+        tree = MutableTree(g, t, dec.marked)
+        for _ in range(12):
+            cur = ElimTree(tree.parent)
+            for x in keep:
+                is_tube = frozenset(descendants(cur, x)) in of_t2
+                assert (sums[x] in target) == is_tube, (t, t2, cur, x)
+                checked += 1
+            edges = [(tree.parent[v], v) for v in sorted(dec.marked)
+                     if tree.parent[v] in dec.marked]
+            if not edges:
+                break
+            u, v = rng.choice(edges)
+            moved = tree.rotate(u, v)
+            atoms_moved += sum(w not in keep for w in moved)
+            new = sums[u] - sums[v] + sum(sums[w] if w in sums else atom(w) for w in moved)
+            sums[u], sums[v] = new, sums[u]
+    assert checked > 50_000 and atoms_moved > 50
 
 
 def test_search_matches_restricted_bfs():

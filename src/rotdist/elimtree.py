@@ -248,41 +248,22 @@ def validate(g: Graph, t: ElimTree) -> bool:
 
 
 # The touch test: which old children of v a rotation of (u, v) moves
-# under u.  Two scans give the same answer at different costs; they run
-# in lockstep under a doubling step budget, so one test costs within a
-# constant factor of the cheaper scan.  Walking the child subtrees of v
-# is cheap when they are small; climbing from the G-neighbours of u is
-# cheap when u has few neighbours close to it, as a leaf of a star whose
-# centre has thousands of children.
+# under u.  `rotate`, the search's first pass and `MutableTree.rotate`
+# all call the one test, `moved_children`, which keeps nothing between
+# calls.  Two scans give the same answer at different costs; they run
+# in lockstep under a step budget that starts at _FIRST_BUDGET and
+# doubles, so one test costs within a constant factor of the cheaper
+# scan.  Walking the child subtrees of v is cheap when they are small;
+# climbing from the G-neighbours of u is cheap when u has few neighbours
+# close to it, as a leaf of a star whose centre has thousands of children.
 
 _FIRST_BUDGET = 16
 
 
-def _touches(adj_u, children, x: int, budget: int) -> tuple[bool, int]:
-    """Whether the subtree of x holds a vertex of adj_u, and the budget
-    left after the vertices visited (below 0 when it ran out)."""
-    stack = [x]
-    while stack:
-        budget -= 1
-        if budget < 0:
-            return False, budget
-        y = stack.pop()
-        if y in adj_u:
-            return True, budget
-        stack.extend(children[y])
-    return False, budget
-
-
-def _walk_subtrees(g: Graph, children, u: int, v: int, budget: int,
-                   movable=None, known=None) -> list[int] | None:
+def _walk_subtrees(g: Graph, children, u: int, v: int, budget: int) -> list[int] | None:
     """Children of v whose subtree holds a G-neighbour of u, found by
     walking each child subtree; None when that takes more than `budget`
-    visited vertices.
-
-    With `known`, the subtree of every vertex outside `movable` is taken
-    as fixed: whether it touches u is read from known[(vertex, u)], or
-    found once by a plain walk and stored there.
-    """
+    visited vertices."""
     adj_u = g._sets[u]
     out = []
     for w in children[v]:
@@ -292,21 +273,10 @@ def _walk_subtrees(g: Graph, children, u: int, v: int, budget: int,
             if budget < 0:
                 return None
             x = stack.pop()
-            if known is not None and x not in movable:
-                hit = known.get((x, u))
-                if hit is None:
-                    hit, budget = _touches(adj_u, children, x, budget + 1)
-                    if budget < 0:
-                        return None
-                    known[(x, u)] = hit
-                if hit:
-                    out.append(w)
-                    break
-            elif x in adj_u:
+            if x in adj_u:
                 out.append(w)
                 break
-            else:
-                stack.extend(children[x])
+            stack.extend(children[x])
     return out
 
 
@@ -343,20 +313,18 @@ def _climb_from_neighbours(g: Graph, parent, u: int, v: int, budget: int) -> set
     return out
 
 
-def moved_children(g: Graph, parent, children, u: int, v: int,
-                   movable=None, known=None):
+def moved_children(g: Graph, parent, children, u: int, v: int):
     """Children of v whose subtree has a G-edge to u: the ones a rotation
     of the tree edge (u, v) moves under u.
 
     `parent` maps each vertex to its parent and `children` each vertex
-    to its children, as tuples or sets; neither is changed.  `movable`
-    and `known` are as in _walk_subtrees.
+    to its children, as tuples or sets; neither is changed.
     """
     if not children[v]:
         return ()
     budget = _FIRST_BUDGET
     while True:
-        found = _walk_subtrees(g, children, u, v, budget, movable, known)
+        found = _walk_subtrees(g, children, u, v, budget)
         if found is None:
             found = _climb_from_neighbours(g, parent, u, v, budget)
         if found is not None:
@@ -408,14 +376,11 @@ class MutableTree:
     A rotation of (u, v) changes the child sets of u, v and u's parent
     only, and u's parent is always movable or the parent in the first
     tree of a movable vertex; those vertices get mutable child sets, the
-    others keep the tuples of the tree the state was built from.  The
-    rotation also changes the vertex set of no subtree but those of u
-    and v, so the subtree of every vertex outside `movable` stays fixed,
-    and the touch test remembers, per such vertex and would-be parent,
-    whether its subtree has a G-edge to it.
+    others keep the tuples of the tree the state was built from.  Each
+    rotation runs the same touch test as `rotate`, on this state.
     """
 
-    __slots__ = ("g", "parent", "children", "_movable", "_known")
+    __slots__ = ("g", "parent", "children")
 
     def __init__(self, g: Graph, t: ElimTree, movable: frozenset[int]):
         parent = t.parent
@@ -428,16 +393,13 @@ class MutableTree:
         self.g = g
         self.parent = list(parent)
         self.children = children
-        self._movable = movable
-        self._known: dict[tuple[int, int], bool] = {}
 
     def rotate(self, u: int, v: int):
         """Rotate the tree edge (u, v), u the parent of v, both movable
         (not checked), as `rotate` would; return the children of v that
         moved under u.  Only the parents of u, v and those children
         change."""
-        moved = moved_children(self.g, self.parent, self.children, u, v,
-                               self._movable, self._known)
+        moved = moved_children(self.g, self.parent, self.children, u, v)
         self._apply(u, v, moved)
         return moved
 

@@ -152,9 +152,6 @@ class Component:
         self.zroot = zroot
         self.kids = kids
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
     def children(self, v: int) -> tuple[int, ...]:
         """Children of v that stay inside the component."""
         return self.kids.get(v, ())

@@ -54,10 +54,6 @@ class Graph:
         self._check(v)
         return v in self._sets[u]
 
-    def degree(self, v: int) -> int:
-        self._check(v)
-        return len(self._sets[v])
-
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return tuple((u, v) for u in range(self.n) for v in self._sorted[u] if u < v)

@@ -6,6 +6,7 @@ import itertools
 import random
 
 from rotdist import (
+    ROOT,
     BadnessReport,
     ElimTree,
     Graph,
@@ -15,6 +16,7 @@ from rotdist import (
     components,
     compute_bcb,
     from_ordering,
+    generate,
     is_connected,
     rotate,
     want_parent,
@@ -63,6 +65,19 @@ def random_tree(g: Graph, rng: random.Random) -> ElimTree:
 def random_tree_edge(t: ElimTree, rng: random.Random) -> tuple[int, int]:
     v = rng.choice([v for v in range(t.n) if t.parent[v] != -1])
     return t.parent[v], v
+
+
+def stacked_star(n: int, leaves: list[int]) -> tuple[Graph, ElimTree, ElimTree]:
+    """The star on n vertices, its tree with the centre 0 at the root,
+    and the target with `leaves` stacked above the centre in ascending
+    order, the smallest at the root."""
+    g = generate("star", n)
+    parent = [0] * n
+    parent[0] = leaves[-1]
+    for a, b in zip(leaves, leaves[1:]):
+        parent[b] = a
+    parent[leaves[0]] = ROOT
+    return g, from_ordering(g, list(range(n))), ElimTree(parent)
 
 
 def descendants(t: ElimTree, v: int):

@@ -9,6 +9,7 @@ from helpers import (
     random_tree,
     random_tree_edge,
     reference_violations,
+    stacked_star,
     tree_distance_matrix,
 )
 from rotdist import (
@@ -21,6 +22,7 @@ from rotdist import (
     NotATreeEdge,
     apply_sequence,
     enumerate_all,
+    fpt_decide,
     from_ordering,
     from_parent_vector,
     generate,
@@ -29,6 +31,7 @@ from rotdist import (
     validity_violations,
 )
 from rotdist.elimtree import (
+    _FIRST_BUDGET,
     ElimTree,
     MutableTree,
     _climb_from_neighbours,
@@ -396,8 +399,8 @@ def test_rotate_in_place_matches_rotate_and_undoes():
 
 
 def test_mutable_tree_walks_match_rotate():
-    # long random walks inside a movable set, so the remembered touch
-    # answers of fixed subtrees get reused, checked step by step
+    # long random walks inside a movable set, so the rotations run on
+    # states far from the tree they were built from, checked step by step
     rng = random.Random(9)
     for trial in range(150):
         n = rng.randrange(3, 13)
@@ -416,6 +419,40 @@ def test_mutable_tree_walks_match_rotate():
             cur = rotate(g, cur, (u, v))
             assert tuple(state.parent) == cur.parent
             assert _child_sets(state) == [set(cur.children(x)) for x in range(n)]
+
+
+@pytest.mark.parametrize("n", [100, 3000, 10_000])
+@pytest.mark.parametrize("j", [2, 3])
+def test_touch_test_is_constant_time_on_a_star(monkeypatch, n, j):
+    # j leaves stacked above the centre, as in the wide benchmark: the
+    # centre has up to n - 1 children and each leaf one G-neighbour, yet
+    # every rotation of the search is answered by one scan within the
+    # first step budget, whatever n is
+    leaves = sorted(random.Random(n + j).sample(range(1, n), j))
+    g, t, t2 = stacked_star(n, leaves)
+    rotations = []
+    real = MutableTree.rotate
+
+    def rotate_checked(self, u, v):
+        walk = _walk_subtrees(self.g, self.children, u, v, _FIRST_BUDGET)
+        climb = _climb_from_neighbours(self.g, self.parent, u, v, _FIRST_BUDGET)
+        assert walk is not None or climb is not None, (u, v)
+        rotations.append((u, v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(MutableTree, "rotate", rotate_checked)
+    for k in (j, j - 1):
+        dec = fpt_decide(g, t, t2, k)
+        assert dec.yes == (k == j)
+    assert len(rotations) == j
+    # the search only lifts leaves above the centre; rotating the centre
+    # back under a leaf must be as cheap, though its walk meets n - 2
+    # child subtrees
+    state = MutableTree(g, t, frozenset([0, *leaves]))
+    for leaf in leaves:
+        assert not state.rotate(0, leaf)
+        assert not state.rotate(leaf, 0)
+    assert tuple(state.parent) == t.parent
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ from helpers import (
     reference_badness,
     reference_marking,
     reference_search,
+    stacked_star,
     trace_of,
     tubes,
     type_of,
 )
 from rotdist import (
     OVER_CAP,
-    ROOT,
     SAME,
     WANT_ROOT,
     BadnessReport,
@@ -144,7 +144,7 @@ def test_components_split_and_order():
     assert comps[1].vertices == {5, 6}
     assert comps[0].children(1) == (2,)
     assert comps[1].children(6) == ()
-    assert 2 in comps[0] and 2 not in comps[1]
+    assert 2 in comps[0].vertices and 2 not in comps[1].vertices
 
 
 def test_check_early_no():
@@ -327,7 +327,7 @@ def test_one_pass_marking_matches_definitions_on_deep_trees():
 
 def test_one_pass_marking_matches_definitions_on_a_wide_star():
     for leaves, k in (([17, 1234], 2), ([17, 1234], 1), ([5, 900, 2500], 3)):
-        g, t, t2 = _stacked_star(3000, leaves)
+        g, t, t2 = stacked_star(3000, leaves)
         dec = _check_marking(g, t, t2, k)
         assert dec.early_no is None and len(dec.ball.vertices) == 3000
 
@@ -552,18 +552,6 @@ def test_ball_restriction_preserves_optimal_distance():
 # ---------------------------------------------------------------------------
 # the search itself: pinned runs and a differential check
 
-def _stacked_star(n, leaves):
-    """Star source tree, and the target with `leaves` stacked above the
-    centre in ascending order, the smallest at the root."""
-    g = generate("star", n)
-    parent = [0] * n
-    parent[0] = leaves[-1]
-    for a, b in zip(leaves, leaves[1:]):
-        parent[b] = a
-    parent[leaves[0]] = ROOT
-    return g, from_ordering(g, list(range(n))), ElimTree(parent)
-
-
 def _path_walk():
     g = generate("path", 80)
     t = from_ordering(g, list(range(80)))
@@ -585,11 +573,11 @@ def _random_walk():
 # cuts of fpt_decide.  The cuts must leave the witness as it is.  The
 # budget-1 pass runs without them, so the counts at k = 1 stay.
 SEARCH_PINS = [
-    (lambda: _stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 9, 0, 7),
-    (lambda: _stacked_star(3000, [17, 1234]), 1, None, 5, 0, 5, 0, 0),
-    (lambda: _stacked_star(3000, [5, 900, 2500]), 3,
+    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 9, 0, 7),
+    (lambda: stacked_star(3000, [17, 1234]), 1, None, 5, 0, 5, 0, 0),
+    (lambda: stacked_star(3000, [5, 900, 2500]), 3,
      ((0, 5), (0, 900), (0, 2500)), 315, 4, 13, 1, 15),
-    (lambda: _stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 8, 1, 0),
+    (lambda: stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 8, 1, 0),
     (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 31, 1, 48),
     (_path_walk, 2, None, 401, 0, 21, 1, 0),
     (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 22, 0, 27),

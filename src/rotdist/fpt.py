@@ -19,30 +19,34 @@ subtree touches, built from its own G-neighbours, its component
 children's masks and one walk of each child subtree hanging outside
 the ball.
 
-The search is cut two ways.  An elimination tree is a maximal tubing
-whose tubes are its non-root subtrees, and a rotation of (u, v) trades
-exactly one tube, the subtree of v, for one (Carr and Devadoss,
-Topology Appl. 2006).  So the number of tubes of the current tree that
-the target lacks falls by at most one per rotation, and a node where it
-exceeds the budget left is a dead end (IDA*).  And a shortest path never
-removes a tube that its two ends share: Manneville and Pilaud show that
-every graph associahedron has the non-leaving-face property, that each
-geodesic between two vertices of a face stays in the face (Sem. Lothar.
-Combin. 73, 2015; for the associahedron, Sleator, Tarjan and Thurston,
-JAMS 1988).  So the search never rotates (u, v) when the subtree of v is
-a subtree of the target: the face rule.  Both cuts keep every shortest
-path and the search keeps no memo, so the witness is the first shortest
-sequence in the order the plain search tries its moves.  Both read one
-index of which subtrees are subtrees of the target (`_tube_index`),
-set up over the marked vertices and the ancestors of the bad ones only:
-exact, since the face rule must never skip a move a geodesic makes, and
-additive, so that a rotation updates it at u and v only.
+Before any of this, the certificates of `fpt_decide` settle most NOs
+from the two parent vectors: too many children-bad vertices, or, when
+t2 is not one rotation of t, too many tubes of t missing from t2.  An
+elimination tree is a maximal tubing whose tubes are its non-root
+subtrees, and a rotation of (u, v) trades exactly one tube, the subtree
+of v, for one (Carr and Devadoss, Topology Appl. 2006), so each rotation
+lowers that count by at most one.
+
+The search is cut the same way: a node where the count exceeds the
+budget left is a dead end (IDA*).  On paths it also never rotates (u, v)
+when the subtree of v is a subtree of the target, the face rule: for the
+associahedron every geodesic between two trees of a face stays in the
+face (Sleator, Tarjan and Thurston, JAMS 1988).  That property fails for
+other graphs: on the star K_{1,5}, a shortest path can remove a tube its
+two ends share.  Both cuts keep every shortest path and the search keeps
+no memo, so the witness is the first shortest sequence in the order the
+plain search tries its moves.  Both read one index of which subtrees are
+subtrees of the target (`_tube_index`), set up over the marked vertices
+and the ancestors of the bad ones only: exact, since the face rule must
+never skip a move a geodesic makes, and additive, so that a rotation
+updates it at u and v only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, moved_children
@@ -201,17 +205,25 @@ def components(t: ElimTree, ball_vertices: Iterable[int]) -> list[Component]:
     return out
 
 
-def check_early_no(report: BadnessReport, comps: list[Component], k: int) -> str | None:
-    """Cheap certificates that the distance exceeds k, or None.
-
-    A single rotation changes at most three child sets, so more than 3k
-    children-bad vertices rule out k rotations.  And each component of
-    the ball holding a bad vertex needs at least one rotation of its
-    own, so more than k such components also rule them out.
-    """
+def _count_certificate(report: BadnessReport, k: int) -> str | None:
+    """A single rotation changes at most three child sets, so more than
+    3k children-bad vertices rule out k rotations."""
     if len(report.children_bad) > 3 * k:
         return (f"{len(report.children_bad)} vertices with differing child sets "
                 f"exceed 3k={3 * k}")
+    return None
+
+
+def check_early_no(report: BadnessReport, comps: list[Component], k: int) -> str | None:
+    """Cheap certificates that the distance exceeds k, or None.
+
+    The count certificate first; then, since each component of the ball
+    holding a bad vertex needs at least one rotation of its own, more
+    than k such components also rule out k rotations.
+    """
+    early = _count_certificate(report, k)
+    if early is not None:
+        return early
     bad = report.bad
     dirty = sum(1 for z in comps if not bad.isdisjoint(z.vertices))
     if dirty > k:
@@ -358,15 +370,18 @@ def mark(z: Component, premarked: frozenset[int], report: BadnessReport) -> froz
     return frozenset(mz)
 
 
-def compute_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
+def compute_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int,
+                    report: BadnessReport | None = None) -> Decision:
     """Run the classification pipeline, stopping before the search.
 
-    Returns a Decision with no verdict yet.  When an early NO certificate
-    fires it holds the report, ball and components and names the
-    certificate in `early_no`; otherwise it also holds the type table
-    and the marked sets.
+    `report` is `classify_bad(t, t2)`, computed here unless the caller
+    has it.  Returns a Decision with no verdict yet.  When an early NO
+    certificate fires it holds the report, ball and components and names
+    the certificate in `early_no`; otherwise it also holds the type
+    table and the marked sets.
     """
-    report = classify_bad(t, t2)
+    if report is None:
+        report = classify_bad(t, t2)
     bcb = compute_bcb(t, report, k)
     comps = components(t, bcb.vertices)
     dec = Decision(k=k, n=g.n, report=report, ball=bcb, comps=comps,
@@ -395,7 +410,9 @@ class Decision:
 
     compute_marking fills the pipeline fields, from `report` to
     `marked_per_component`; fpt_decide and its search set `yes` and
-    `witness`.
+    `witness`.  `lower_bound` is the least distance the certificates
+    before the marking prove (see fpt_decide); it is never above the
+    distance.
     """
 
     k: int
@@ -403,6 +420,7 @@ class Decision:
     yes: bool = False
     witness: tuple[RotationEdge, ...] | None = None
     early_no: str | None = None
+    lower_bound: int = 0
     report: BadnessReport | None = None
     ball: Ball | None = None
     comps: list[Component] = field(default_factory=list)
@@ -430,6 +448,7 @@ class Decision:
             "children_bad": sorted(self.report.children_bad) if self.report else [],
             "parent_bad": sorted(self.report.parent_bad) if self.report else [],
             "early_no": self.early_no,
+            "lower_bound": self.lower_bound,
             "ball_radius": self.ball.radius if self.ball else None,
             "ball": sorted(self.ball.vertices) if self.ball else [],
             "components": comps,
@@ -472,6 +491,24 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     Both trees must be valid elimination trees of g (not re-checked
     here).  The verdict is exact; YES comes with a shortest rotation
     sequence over marked vertices.
+
+    After `classify_bad`, three certificates run before the marking, in
+    this order, and set `lower_bound`:
+
+    1. The count certificate: more than 3k children-bad vertices is NO,
+       named in `early_no`, with the bound ceil(|children-bad| / 3).
+    2. The one-rotation test (`_one_rotation`): whether t2 is one
+       rotation of t, the only YES at k = 1.  The bound is then 1.
+    3. Otherwise the bound is max(2, h0), where h0 (`_tube_bound`) counts
+       the tubes of t that t2 lacks; each rotation trades one tube, so
+       h0 is at most the distance.  At k = 1 the bound is 2 and h0 is
+       not computed.  A bound above k is NO, with `early_no` None and no
+       ball, types, marks or search.
+
+    Otherwise the paper's pipeline runs (`compute_marking`, whose
+    component certificate may still answer NO in `early_no`), so every
+    witness lies inside M: the one rotation, or the first shortest
+    sequence of `_search`, whose deepening starts at the bound.
     """
     if t.n != g.n or t2.n != g.n:
         raise InvalidParameter("graph and trees disagree on the vertex count")
@@ -482,59 +519,162 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     if t.parent == t2.parent:
         return Decision(k=k, n=g.n, yes=True, witness=())
     if k == 0:
-        return Decision(k=k, n=g.n, early_no="trees differ and k=0 allows no rotations")
-    dec = compute_marking(g, t, t2, k)
+        return Decision(k=k, n=g.n, lower_bound=1,
+                        early_no="trees differ and k=0 allows no rotations")
+    report = classify_bad(t, t2)
+    early_no = _count_certificate(report, k)
+    if early_no is not None:
+        return Decision(k=k, n=g.n, report=report, early_no=early_no,
+                        lower_bound=-(-len(report.children_bad) // 3))
+    edge = _one_rotation(g, t, t2, report)
+    if edge is not None:
+        bound, below = 1, None
+    else:
+        if k == 1:
+            return Decision(k=k, n=g.n, report=report, lower_bound=2)
+        below = _below_lca(t, report)
+        bound = max(2, _tube_bound(t, t2, below))
+        if bound > k:
+            return Decision(k=k, n=g.n, report=report, lower_bound=bound)
+    dec = compute_marking(g, t, t2, k, report)
+    dec.lower_bound = bound
     if dec.early_no is None:
-        _search(g, t, t2, dec)
+        if edge is not None:
+            dec.yes, dec.witness = True, (edge,)
+        else:
+            _search(g, t, t2, dec, below)
     return dec
 
 
+def _one_rotation(g: Graph, t: ElimTree, t2: ElimTree,
+                  report: BadnessReport) -> RotationEdge | None:
+    """The rotation (u, v) with rotate(t, (u, v)) = t2, or None.
 
-
-def _tube_index(t: ElimTree, t2: ElimTree, report: BadnessReport,
-                marked: frozenset[int]):
-    """An exact, additive index of which subtrees of t are subtrees of t2.
-
-    Tracked are the vertices in keep, the marked ones with the bad ones
-    and their ancestors; keep is closed upwards in both trees.  Any other
-    subtree never changes in the search and is the same set in t and t2,
-    so each one hanging from a kept vertex is one element, an atom, the
-    same in both trees.  The elements are numbered in a preorder of t2
-    with each kept vertex's atoms, in vertex order, right after it, so
-    each kept subtree of t2 is a run of positions.  A set of elements is
-    kept as its count, sum of positions and sum of squares, packed into
-    one integer in fields too wide to carry, so sets add and subtract as
-    integers.  For a given count and sum, distinct integers have the
-    least sum of squares exactly when they form a run, so a kept subtree
-    of t is a subtree of t2 exactly when its packed sums are in `target`,
-    those of the kept subtrees of t2.
-
-    Returns the packed sums of each kept subtree of t, by vertex;
-    `target`; and `atom(w)`, the packed sums of the atom w, also stored
-    under w.  An atom is numbered only when the search first moves it,
-    so the set-up loops in Python over the kept vertices alone.
+    A rotation of (u, v) changes the parents of u, v and the moved
+    children only: v goes under u's old parent, u under v, and each
+    moved child of v under u.  Of these, u alone goes under a vertex
+    that was its child, so (u, v) is the one parent-bad u whose parent
+    in t2 is its child in t; with two such vertices or none, no single
+    rotation gives t2.  So the touch test runs at most once, for the
+    candidate that also sends v to u's parent.  Then t2 is the rotation
+    exactly when t2 puts each moved child under u and no other parent
+    differs.  u and v are both children-bad, so both lie in the marked
+    set.
     """
     par, par2 = t.parent, t2.parent
-    above: set[int] = set()
-    for x in report.bad:
-        while x != ROOT and x not in above:
-            above.add(x)
-            x = par[x]
-    keep = above | marked
+    flips = [u for u in report.parent_bad if par2[u] != ROOT and par[par2[u]] == u]
+    if len(flips) != 1:
+        return None
+    u = flips[0]
+    v = par2[u]
+    if par2[v] != par[u]:
+        return None
+    moved = moved_children(g, par, t._children, u, v)
+    if len(moved) + 2 != len(report.parent_bad) or any(par2[w] != u for w in moved):
+        return None
+    return u, v
+
+
+def _tube_bound(t: ElimTree, t2: ElimTree, below: set[int]) -> int:
+    """h0, the number of tubes of t (its non-root subtrees) that are no
+    subtree of t2; below is `_below_lca` of the two trees.
+
+    Only the subtrees of the vertices in below can be missing from t2:
+    no vertex outside the subtree S of L in t is bad, so each has the
+    same parent and children in both trees.  Hence S is also L's subtree
+    in t2 (unless L is the root of t), and every subtree outside S, at L
+    or above it is the same set in both: a shared tube.  So is the
+    subtree of any vertex of S with no bad vertex below it.
+    """
+    sums, target, _, _ = _packed_sums(t, t2, below)
+    return sum(1 for s in sums.values() if s not in target)
+
+
+def _below_lca(t: ElimTree, report: BadnessReport) -> set[int]:
+    """The bad vertices and their ancestors in t up to L, their lowest
+    common ancestor, found by climbing from the deepest vertex first, so
+    that the climb stops at L, not at the root."""
+    par = t.parent
+    depth = t._walk()[1]
+    keep = set(report.bad)
+    heap = [(-depth[x], x) for x in keep]
+    heapify(heap)
+    while len(heap) > 1:
+        x = heappop(heap)[1]
+        p = par[x]
+        if p not in keep:
+            keep.add(p)
+            heappush(heap, (-depth[p], p))
+    return keep
+
+
+def _tube_index(t: ElimTree, t2: ElimTree, keep: set[int]):
+    """An exact, additive index of which subtrees of t are subtrees of t2.
+
+    Tracked are the vertices in keep: the marked ones, which the search
+    rotates, and `_below_lca`, which holds every tube of t that t2 lacks.
+    Any other subtree never changes in the search and is the same set in
+    t and t2, so each one hanging from a kept vertex is one element, an
+    atom, the same in both trees; see `_packed_sums`.  Between the marked
+    vertices around the root and L there may be such vertices, whose
+    subtrees hold kept ones: there keep splits into parts, numbered one
+    after another, and a subtree that holds a lower part is one atom of
+    the part above.
+
+    Returns the packed sums of each kept subtree of t, by vertex;
+    `target`, those of the kept subtrees of t2; and `atom(w)`, the packed
+    sums of the atom w, also stored under w.  An atom is numbered only
+    when the search first moves it, so the set-up loops in Python over
+    the kept vertices alone.
+    """
+    par = t.parent
+    sums, target, start, below = _packed_sums(t, t2, keep)
+    tkids = t._children
+    bits = 3 * t.n.bit_length()
+
+    def atom(w: int) -> int:
+        x = par[w]
+        p = start[x] + 1 + bisect_left(tkids[x], w) - sum(c < w for c in below[x])
+        sums[w] = one = _run(p, 1, bits)
+        return one
+
+    return sums, target, atom
+
+
+def _packed_sums(t: ElimTree, t2: ElimTree, keep: set[int]):
+    """The packed sums of the kept subtrees of t and of t2.
+
+    keep is a forest in both trees.  The subtrees hanging from kept
+    vertices outside keep are the same sets in both trees, each one
+    element, an atom, and the subtree of each top of keep in t is the
+    subtree of a top of keep in t2.  The elements are numbered in a
+    preorder of t2 over keep, with each kept vertex's atoms, in vertex
+    order, right after it, so each kept subtree of t2 is a run of
+    positions.  A set of elements is kept as its count, sum of positions
+    and sum of squares, packed into one integer in fields too wide to
+    carry, so sets add and subtract as integers.  For a given count and
+    sum, distinct integers have the least sum of squares exactly when
+    they form a run, so a kept subtree of t is a subtree of t2 exactly
+    when its packed sums are in the target set.
+
+    Returns the packed sums of each kept subtree of t, by vertex; the
+    target set, those of the kept subtrees of t2; each kept vertex's
+    position; and its kept children in t.
+    """
+    par, par2 = t.parent, t2.parent
     below: dict[int, list[int]] = {x: [] for x in keep}
     below2: dict[int, list[int]] = {x: [] for x in keep}
+    tops, tops2 = [], []
     for x in keep:
-        if par[x] != ROOT:
-            below[par[x]].append(x)
-        if par2[x] != ROOT:
-            below2[par2[x]].append(x)
+        (below[par[x]] if par[x] in below else tops).append(x)
+        (below2[par2[x]] if par2[x] in below2 else tops2).append(x)
     tkids = t._children
     bits = 3 * t.n.bit_length()
     start: dict[int, int] = {}
     own: dict[int, int] = {}
     order = []
     pos = 0
-    stack = [t2.root]
+    stack = tops2
     while stack:
         x = stack.pop()
         order.append(x)
@@ -545,23 +685,16 @@ def _tube_index(t: ElimTree, t2: ElimTree, report: BadnessReport,
         stack.extend(below2[x])
     target = own.copy()
     for x in reversed(order):
-        if par2[x] != ROOT:
+        if par2[x] in target:
             target[par2[x]] += target[x]
-    order = [t.root]
+    order = tops
     for x in order:
         order.extend(below[x])
     sums = own.copy()
     for x in reversed(order):
-        if par[x] != ROOT:
+        if par[x] in sums:
             sums[par[x]] += sums[x]
-
-    def atom(w: int) -> int:
-        x = par[w]
-        p = start[x] + 1 + bisect_left(tkids[x], w) - sum(c < w for c in below[x])
-        sums[w] = one = _run(p, 1, bits)
-        return one
-
-    return sums, set(target.values()), atom
+    return sums, set(target.values()), start, below
 
 
 def _run(p: int, c: int, bits: int) -> int:
@@ -574,53 +707,40 @@ def _run(p: int, c: int, bits: int) -> int:
     return (s2 << 2 * bits) + (s1 << bits) + c
 
 
-def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
+def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int]) -> None:
     """Iterative-deepening search over rotations inside the marked set,
-    cut by the tube lower bound and the face rule; on success it sets
-    `dec.yes` and a shortest `dec.witness`.
+    cut by the tube lower bound and, on paths, the face rule; on success
+    it sets `dec.yes` and a shortest `dec.witness`.
 
-    The budget-1 pass needs no index: a rotation of (u, v) changes the
-    parents of u, v and the moved children only, so it gives t2 exactly
-    when t2 has v under u's parent, u under v, each moved child under u,
-    and no other parent changed; the touch test runs only for a move
-    whose u and v pass.  Deeper passes walk one mutable copy of t,
-    applying each rotation in place and undoing it by the reverse
-    rotation, so a node costs the rotation's touch test, not a copy of
-    the tree.
+    fpt_decide has already ruled out one rotation, so the deepening
+    starts at `dec.lower_bound`, at least 2; below is `_below_lca`.  The
+    search walks one
+    mutable copy of t, applying each rotation in place and undoing it by
+    the reverse rotation, so a node costs the rotation's touch test, not
+    a copy of the tree.
 
     A rotation changes the subtrees of u and v only: v gets the old
     subtree of u, and u the old one less the old subtree of v plus those
     of the moved children, so it updates two packed sums of
     `_tube_index`.  h, the number of kept vertices whose subtree is no
     subtree of t2, counts the tubes of the current tree that t2 lacks,
-    since every other subtree is the same in both.  h = 0 is the goal
-    test, and a node whose h exceeds its budget is cut.  Under the face
-    rule every rotation taken removes a tube t2 lacks, so h never rises
-    along a branch; it falls by one when the new subtree of u is a
-    subtree of t2.
+    since every other subtree is the same in both.  The rotation removes
+    the old subtree of v and adds the new one of u, so h rises by one
+    when the first is a subtree of t2 and falls by one when the second
+    is.  h = 0 is the goal test, and a node whose h exceeds its budget is
+    cut.  When g is a path, the trees are binary search trees, whose
+    geodesics never remove a tube their two ends share (Sleator, Tarjan
+    and Thurston, JAMS 1988), so no rotation removing a subtree of t2 is
+    tried: the face rule.  On other graphs that property can fail: on the
+    star K_{1,6}, every shortest path between some trees removes a
+    shared tube.
     """
     marked, stats = dec.marked, dec.stats
     m_list = sorted(marked)
-    par, par2 = t.parent, t2.parent
-    parent_bad = dec.report.parent_bad
-
-    stats["nodes_expanded"] += 1
-    for v in m_list:
-        u = par[v]
-        if u == ROOT or u not in marked:
-            continue
-        stats["nodes_expanded"] += 1
-        if par2[v] == par[u] and par2[u] == v:
-            moved = moved_children(g, par, t._children, u, v)
-            if len(moved) + 2 == len(parent_bad) and all(par2[w] == u for w in moved):
-                dec.yes, dec.witness = True, ((u, v),)
-                return
-    if dec.k == 1:
-        return
-
+    face = g.m == g.n - 1 and all(len(a) <= 2 for a in g._sorted)
     tree = MutableTree(g, t, marked)
     parent = tree.parent
-    sums, target, atom = _tube_index(t, t2, dec.report, marked)
+    sums, target, atom = _tube_index(t, t2, below | marked)
     seq: list[RotationEdge] = []
 
     def dfs(budget: int, h: int) -> bool:
@@ -635,7 +755,8 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
             if u == ROOT or u not in marked:
                 continue
             sv = sums[v]
-            if sv in target:
+            shared = sv in target
+            if shared and face:
                 stats["face_cuts"] += 1
                 continue
             moved = tree.rotate(u, v)
@@ -646,7 +767,7 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
             sums[v] = su
             sums[u] = new
             seq.append((u, v))
-            if dfs(budget - 1, h - (new in target)):
+            if dfs(budget - 1, h - (new in target) + shared):
                 return True
             seq.pop()
             tree.undo(u, v, moved)
@@ -655,7 +776,7 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision) -> None:
         return False
 
     h = sum(1 for s in sums.values() if s not in target)
-    for budget in range(2, dec.k + 1):
+    for budget in range(dec.lower_bound, dec.k + 1):
         if dfs(budget, h):
             dec.yes, dec.witness = True, tuple(seq)
             break

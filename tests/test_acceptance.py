@@ -19,6 +19,7 @@ from helpers import (
     random_tree,
     random_tree_edge,
     tree_distance_matrix,
+    tubes,
 )
 from rotdist import (
     OVER_CAP,
@@ -33,6 +34,7 @@ from rotdist import (
     restricted_bfs_distance,
     rotate,
 )
+from rotdist.fpt import _below_lca, _tube_bound
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429, 8: 1430}
 
@@ -56,6 +58,10 @@ def sweep():
         "restricted_failures": [],
         "replays_checked": 0,
         "replay_failures": [],
+        "bound_failures": [],
+        "tube_bounds_checked": 0,
+        "certified_by_bound": {1: 0, 2: 0, 3: 0},
+        "searched_nos": {1: 0, 2: 0, 3: 0},
     }
     for n in range(1, 6):
         gs = connected_graphs(n)
@@ -65,17 +71,29 @@ def sweep():
             fg = enumerate_all(g)
             keys = fg.nodes()
             dmaps = {k: fg.distances_from(k) for k in keys}
+            tubings = {k: tubes(k) for k in keys}
             for ka in keys:
                 ta = fg.trees[ka]
                 dm = dmaps[ka]
                 for kb in keys:
                     tb = fg.trees[kb]
                     d = dm[kb]
+                    if d >= 2:
+                        # h0 as fpt_decide computes it, against its definition
+                        res["tube_bounds_checked"] += 1
+                        h0 = len(tubings[ka] - tubings[kb])
+                        if _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb))) != h0:
+                            res["bound_failures"].append((g.edges(), ka, kb, "h0"))
                     for k in (1, 2, 3):
                         res["instances"] += 1
                         dec = fpt_decide(g, ta, tb, k)
                         if dec.yes != (d <= k):
                             res["verdict_mismatches"].append((g.edges(), ka, kb, k, d))
+                        if dec.lower_bound > d:
+                            res["bound_failures"].append((g.edges(), ka, kb, k, d))
+                        if not dec.yes and dec.early_no is None:
+                            res["searched_nos"][k] += 1
+                            res["certified_by_bound"][k] += dec.ball is None
                         if dec.early_no is not None:
                             res["early_no_fired"] += 1
                             if d <= k:
@@ -162,20 +180,26 @@ def test_criterion_01_decision_matches_oracle(sweep):
             for _ in range(rng.randrange(1, 4)):
                 kb = rng.choice(fg.adj[kb])[1]
         k = rng.randrange(1, 4)
-        dec = fpt_decide(g, fg.trees[ka], fg.trees[kb], k)
+        ta, tb = fg.trees[ka], fg.trees[kb]
+        dec = fpt_decide(g, ta, tb, k)
         # only the row of the sampled source: all-pairs rows of every graph
         # would be kept for the whole test
         d = fg.distances_from(ka)[kb]
-        if dec.yes != (d <= k) or dec.yes and not (
-                apply_sequence(g, fg.trees[ka], dec.witness).parent == kb
+        h0 = len(tubes(ka) - tubes(kb))
+        if d >= 2 and _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb))) != h0:
+            mismatches.append((gkey, ka, kb, "h0"))
+        if dec.lower_bound > d or dec.yes != (d <= k) or dec.yes and not (
+                apply_sequence(g, ta, dec.witness).parent == kb
                 and len(dec.witness) == d
                 and all(u in dec.marked and v in dec.marked for u, v in dec.witness)):
             mismatches.append((gkey, ka, kb, k))
         samples += 1
     assert mismatches == []
+    assert sweep["bound_failures"] == []
     note(f"criterion 1 (oracle equivalence): PASS: "
          f"{sweep['instances']} exhaustive instances over {sweep['graphs']} graphs, "
-         f"{samples} randomized n=6 samples, 0 mismatches")
+         f"{samples} randomized n=6 samples, 0 mismatches; lower_bound <= d on all, "
+         f"h0 exact on {sweep['tube_bounds_checked']} pairs at d >= 2")
 
 
 def test_criterion_02_rotation_is_an_involution(rotation_triples):
@@ -269,8 +293,13 @@ def test_criterion_08_balls_suffice_for_short_sequences(sweep):
 def test_criterion_09_early_no_is_sound(sweep):
     assert sweep["early_no_fired"] > 0
     assert sweep["early_no_unsound"] == []
+    # a NO with early_no None came from the lower bound when it has no ball
+    certified, searched = sweep["certified_by_bound"], sweep["searched_nos"]
+    assert certified[1] == searched[1] > 0 and 0 < certified[3] < searched[3]
     note(f"criterion 9 (early NO soundness): PASS: fired "
-         f"{sweep['early_no_fired']} times, never on a YES instance")
+         f"{sweep['early_no_fired']} times, never on a YES instance; the lower bound "
+         "certified " + ", ".join(f"{certified[k]} of {searched[k]} NOs at k={k}"
+                                  for k in sorted(certified)) + " before the marking")
 
 
 def test_criterion_10_witnesses_replay(sweep, star_runs):

@@ -212,7 +212,7 @@ def test_bench_csv(capsys):
     rc = main(["bench", "--family", "path", "--sizes", "100", "-k", "3", "--reps", "1"])
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
-    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["47", "2", "78"]
+    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["5", "1", "78"]
 
 
 def test_explain_command(p3, capsys):
@@ -225,17 +225,20 @@ def test_explain_command(p3, capsys):
     assert d == {
         "n": 3, "k": 2, "verdict": "YES", "witness": [[0, 1], [1, 2]],
         "children_bad": [0, 1, 2], "parent_bad": [0, 1, 2], "early_no": None,
-        "ball_radius": 5, "ball": [0, 1, 2],
+        "lower_bound": 2, "ball_radius": 5, "ball": [0, 1, 2],
         "components": [{"zroot": 0, "vertices": [0, 1, 2], "diameter": 2}],
         "vertex_types": {"0": 2, "1": 1, "2": 0}, "type_count": 3,
         "premarked": [0, 1, 2], "marked": [0, 1, 2], "marked_per_component": {"0": [0, 1, 2]},
-        "search": {"nodes_expanded": 6, "bound_cuts": 0, "face_cuts": 1}, "method": "fpt",
+        "search": {"nodes_expanded": 3, "bound_cuts": 0, "face_cuts": 1}, "method": "fpt",
     }
     # a NO instance exits 1 but still dumps
     rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
                "-k", "1", "--method", "fpt", "--explain"])
     assert rc == 1
-    assert json.loads(capsys.readouterr().out)["verdict"] == "NO"
+    d = json.loads(capsys.readouterr().out)
+    # certified by the tube bound: two rotations at least, no ball, no search
+    assert (d["verdict"], d["early_no"], d["lower_bound"], d["ball"]) == ("NO", None, 2, [])
+    assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
 
 
 def test_malformed_json_file(tmp_path, capsys):

@@ -49,7 +49,8 @@ from rotdist import (
     want_parent,
 )
 from rotdist.elimtree import MutableTree
-from rotdist.fpt import _tube_index, compute_types
+from rotdist import fpt
+from rotdist.fpt import _below_lca, _tube_bound, _tube_index, compute_types
 
 P3 = generate("path", 3)
 CHAIN = from_parent_vector([-1, 0, 1])      # 0 -> 1 -> 2
@@ -465,7 +466,8 @@ def test_early_decisions_dump_the_same_keys():
     t2 = apply_sequence(g, t, [(5, 6), (20, 21)])
     for dec in (fpt_decide(P3, CHAIN, CHAIN, 2),      # equal trees
                 fpt_decide(P3, CHAIN, CHAIN_REV, 0),  # k = 0
-                fpt_decide(g, t, t2, 1)):             # a certificate
+                fpt_decide(g, t, t2, 1),              # the count certificate
+                fpt_decide(P3, CHAIN, CHAIN_REV, 1)):  # the tube bound
         d = dec.to_json_dict()
         assert list(d) == list(searched)
         assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
@@ -488,8 +490,14 @@ def test_decision_dump_structure():
 
 
 def test_stats_present_on_no():
+    # a NO from the bound has every counter, at 0; a searched NO counts
+    # its nodes
     dec = fpt_decide(P3, CHAIN, CHAIN_REV, 1)
-    assert not dec.yes
+    assert not dec.yes and dec.lower_bound == 2
+    assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+    g = generate("path", 4)
+    dec = fpt_decide(g, ElimTree([1, -1, 1, 2]), ElimTree([3, 2, 0, -1]), 3)
+    assert not dec.yes and dec.early_no is None and dec.lower_bound == 3
     assert dec.stats["nodes_expanded"] >= 1
 
 
@@ -569,19 +577,21 @@ def _random_walk():
 
 # (instance, k) -> the witness, nodes expanded and memo hits of the
 # search without the tube bound and the face rule
-# (helpers.reference_search), then the nodes expanded, bound cuts and face
-# cuts of fpt_decide.  The cuts must leave the witness as it is.  The
-# budget-1 pass runs without them, so the counts at k = 1 stay.
+# (helpers.reference_search, over the M of compute_marking), then the
+# nodes expanded, bound cuts and face cuts of fpt_decide, and its lower
+# bound.  The cuts must leave the witness as it is.  Each NO here is
+# certified by the lower bound before the marking, so it searches
+# nothing; only the path instances get the face rule.
 SEARCH_PINS = [
-    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 9, 0, 7),
-    (lambda: stacked_star(3000, [17, 1234]), 1, None, 5, 0, 5, 0, 0),
+    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 10, 7, 0, 2),
+    (lambda: stacked_star(3000, [17, 1234]), 1, None, 5, 0, 0, 0, 0, 2),
     (lambda: stacked_star(3000, [5, 900, 2500]), 3,
-     ((0, 5), (0, 900), (0, 2500)), 315, 4, 13, 1, 15),
-    (lambda: stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 8, 1, 0),
-    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 31, 1, 48),
-    (_path_walk, 2, None, 401, 0, 21, 1, 0),
-    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 22, 0, 27),
-    (_random_walk, 1, None, 13, 0, 13, 0, 0),
+     ((0, 5), (0, 900), (0, 2500)), 315, 4, 19, 15, 0, 3),
+    (lambda: stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 0, 0, 0, 3),
+    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 4, 0, 48, 3),
+    (_path_walk, 2, None, 401, 0, 0, 0, 0, 3),
+    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 30, 27, 0, 2),
+    (_random_walk, 1, None, 13, 0, 0, 0, 0, 2),
 ]
 
 
@@ -592,28 +602,38 @@ def _pin_id(i, pin):
                      str(nodes), str(memo_hits)])
 
 
-@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,bound_cuts,face_cuts",
+@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,bound_cuts,face_cuts,"
+                         "lower_bound",
                          SEARCH_PINS, ids=[_pin_id(i, pin) for i, pin in enumerate(SEARCH_PINS)])
 def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes, bound_cuts,
-                          face_cuts):
+                          face_cuts, lower_bound):
     g, t, t2 = make()
     dec = fpt_decide(g, t, t2, k)
-    assert dec.early_no is None
+    assert dec.early_no is None and dec.lower_bound == lower_bound
     assert (dec.witness, dec.stats) == \
         (witness, {"nodes_expanded": nodes, "bound_cuts": bound_cuts, "face_cuts": face_cuts})
-    assert reference_search(g, t, t2, dec.marked, k) == (witness, plain_nodes, plain_memo_hits)
+    marked = compute_marking(g, t, t2, k).marked
+    assert reference_search(g, t, t2, marked, k) == (witness, plain_nodes, plain_memo_hits)
+    if witness is None:
+        assert dec.ball is None and dec.table is None and dec.marked == frozenset()
+    else:
+        assert dec.marked == marked
 
 
-def _against_the_plain_search():
+def _against_the_plain_search(family):
     """The stats of fpt_decide on targets a few rotations away and on
     random ones, each after checking that it gives the verdict and the
-    witness of the search without the bound and the face rule, and
-    expands no more nodes."""
+    witness of the search without the bound and the face rule, over the
+    M of compute_marking, and expands no more nodes.  family is
+    "random" (random connected graphs) or "path"."""
     rng = random.Random(19)
     out = []
     for trial in range(900):
         n = rng.randrange(2, 9)
-        g = generate("random_connected", n, seed=110_000 + trial, p=rng.choice([0.2, 0.4]))
+        if family == "path":
+            g = generate("path", n)
+        else:
+            g = generate("random_connected", n, seed=110_000 + trial, p=rng.choice([0.2, 0.4]))
         t = random_tree(g, rng)
         k = rng.randrange(1, 4)
         t2 = random_tree(g, rng)
@@ -624,7 +644,8 @@ def _against_the_plain_search():
         dec = fpt_decide(g, t, t2, k)
         if dec.early_no is not None or t == t2:
             continue
-        witness, nodes, _ = reference_search(g, t, t2, dec.marked, k)
+        marked = compute_marking(g, t, t2, k).marked
+        witness, nodes, _ = reference_search(g, t, t2, marked, k)
         assert (dec.yes, dec.witness) == (witness is not None, witness), (g.edges(), t, t2, k)
         assert dec.stats["nodes_expanded"] <= nodes
         out.append(dec.stats)
@@ -632,15 +653,15 @@ def _against_the_plain_search():
 
 
 def test_the_bound_cuts_only_dead_branches():
-    stats = _against_the_plain_search()
+    stats = _against_the_plain_search("random")
     assert len(stats) >= 600 and sum(s["bound_cuts"] > 0 for s in stats) > 100
 
 
 def test_the_face_rule_cuts_only_dead_branches():
-    # a geodesic never leaves the face of a tube its ends share
-    # (Manneville and Pilaud), so skipping the rotations that remove one
-    # leaves the first shortest witness as it is
-    stats = _against_the_plain_search()
+    # on a path a geodesic never leaves the face of a tube its ends share
+    # (Sleator, Tarjan and Thurston), so skipping the rotations that
+    # remove one leaves the first shortest witness as it is
+    stats = _against_the_plain_search("path")
     assert len(stats) >= 600 and sum(s["face_cuts"] > 0 for s in stats) > 100
 
 
@@ -664,11 +685,13 @@ def test_the_tube_bound_is_at_most_the_distance():
 
 
 def test_geodesics_never_remove_a_shared_tube():
-    # the non-leaving-face property behind the face rule: a rotation on a
-    # shortest path from a to b never removes a tube that a and b share;
-    # every ordered pair with n <= 5, and two seeded graphs with n = 6
+    # the non-leaving-face property: a rotation on a shortest path from a
+    # to b never removes a tube that a and b share; every ordered pair
+    # with n <= 5, two seeded graphs with n = 6, and the paths with n = 6
+    # and 7, where the face rule relies on it
     graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
     graphs += [generate("random_connected", 6, seed=seed, p=0.35) for seed in (0, 1)]
+    graphs += [generate("path", 6), generate("path", 7)]
     steps = 0
     for g in graphs:
         fg = enumerate_all(g)
@@ -686,13 +709,109 @@ def test_geodesics_never_remove_a_shared_tube():
     assert steps > 1_000_000
 
 
+def test_a_geodesic_of_a_star_can_remove_a_shared_tube():
+    # the property above fails on the star K_{1,5} with centre 5: the two
+    # trees share the tube {5}, 10 rotations apart, and the rotation
+    # (4, 5), which removes it, starts a shortest path; so the search
+    # applies the face rule on paths only
+    g = Graph(6, [(5, i) for i in range(5)])
+    a, b = ElimTree([-1, 0, 1, 2, 3, 4]), ElimTree([1, 2, 3, 4, -1, 0])
+    shared = frozenset({5})
+    assert shared in tubes(a.parent) & tubes(b.parent)
+    c = rotate(g, a, (4, 5))
+    assert tubes(a.parent) - tubes(c.parent) == {shared}
+    assert bfs_distance(g, a, b) == 10 and bfs_distance(g, c, b) == 9
+
+
+def test_the_search_may_remove_a_shared_tube():
+    # the star K_{1,6} with centre 6: every shortest path between these
+    # trees removes their shared tube {6}, and a face rule on stars
+    # answered NO at k = 12
+    g = Graph(7, [(6, i) for i in range(6)])
+    a, b = ElimTree([-1, 0, 1, 2, 3, 4, 5]), ElimTree([1, 2, 4, -1, 5, 3, 0])
+    assert frozenset({6}) in tubes(a.parent) & tubes(b.parent)
+    dec = fpt_decide(g, a, b, 12)
+    assert dec.yes and len(dec.witness) == 12
+    assert apply_sequence(g, a, dec.witness) == b
+    assert all(u in dec.marked and v in dec.marked for u, v in dec.witness)
+    assert dec.stats["face_cuts"] == 0
+    dec = fpt_decide(g, a, b, 11)
+    assert not dec.yes and dec.early_no is None and dec.lower_bound == 5
+
+
+def _h0(t, t2):
+    return len(tubes(t.parent) - tubes(t2.parent))
+
+
+def _tube_bound_of(t, t2):
+    """h0 as fpt_decide computes it."""
+    return _tube_bound(t, t2, _below_lca(t, classify_bad(t, t2)))
+
+
+def test_the_tube_bound_counts_the_tubes_the_target_lacks():
+    # _tube_bound climbs only up to the bad vertices' lowest common
+    # ancestor L, yet counts every tube of t that t2 lacks: random pairs,
+    # some a few rotations apart, some with a changed root
+    rng = random.Random(21)
+    at_root = moved_root = 0
+    for trial in range(1500):
+        n = rng.randrange(2, 40)
+        g = generate("random_connected", n, seed=130_000 + trial, p=rng.choice([0.05, 0.2, 0.5]))
+        t = random_tree(g, rng)
+        if trial % 4:
+            t2 = t
+            for _ in range(rng.randrange(1, 5)):
+                t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        else:
+            t2 = random_tree(g, rng)
+        if t == t2:
+            continue
+        assert _tube_bound_of(t, t2) == _h0(t, t2), (g.edges(), t, t2)
+        at_root += t.root in classify_bad(t, t2).bad
+        moved_root += t.root != t2.root
+    assert at_root > 300 and moved_root > 200
+
+
+def test_the_tube_bound_with_a_changed_root():
+    # L is the root of t, and the root of t2 is another vertex: the
+    # bound's preorder of t2 starts at the root of t2
+    for leaves in ([17, 1234], [5, 900, 2500]):
+        g, t, t2 = stacked_star(3000, leaves)
+        assert t.root in classify_bad(t, t2).bad and t2.root != t.root
+        assert _tube_bound_of(t, t2) == len(leaves) == _h0(t, t2)
+    g = generate("path", 5)
+    t, t2 = from_ordering(g, [2, 0, 1, 3, 4]), from_ordering(g, [1, 0, 2, 4, 3])
+    assert t.root in classify_bad(t, t2).bad and t2.root == 1
+    assert _tube_bound_of(t, t2) == _h0(t, t2) == 3
+
+
+def test_bound_certified_nos_skip_the_marking(monkeypatch):
+    # a NO with h0 > k, or not one rotation apart at k = 1, never builds
+    # the ball or the types
+    def fail(*args):
+        raise AssertionError("the marking ran")
+
+    monkeypatch.setattr(fpt, "compute_bcb", fail)
+    monkeypatch.setattr(fpt, "compute_types", fail)
+    cases = [(_random_walk, 1), (lambda: stacked_star(3000, [17, 1234]), 1),
+             (lambda: stacked_star(3000, [5, 900, 2500]), 2), (_path_walk, 2)]
+    for make, k in cases:
+        g, t, t2 = make()
+        dec = fpt_decide(g, t, t2, k)
+        assert not dec.yes and dec.early_no is None and dec.lower_bound > k
+        assert dec.ball is None and dec.comps == [] and dec.table is None
+    with pytest.raises(AssertionError, match="the marking ran"):
+        fpt_decide(*_random_walk(), 2)
+
+
 def test_tube_index_is_exact():
     # along random rotations inside M, with the packed sums updated as the
     # search updates them, a kept subtree's sums are in the target exactly
-    # when its vertex set is a subtree of t2; deep trees, with atoms
-    # hanging below the kept vertices and moving between them
+    # when its vertex set is a subtree of t2, and every other subtree is
+    # one; deep trees, with atoms hanging below the kept vertices and
+    # moving between them
     rng = random.Random(20)
-    checked = atoms_moved = 0
+    checked = atoms_moved = split = 0
     for trial in range(120):
         n = rng.randrange(2, 120)
         g = generate("random_connected", n, seed=120_000 + trial, p=rng.choice([0.03, 0.2]))
@@ -704,9 +823,12 @@ def test_tube_index_is_exact():
         dec = compute_marking(g, t, t2, k)
         if dec.early_no is not None or t == t2:
             continue
-        sums, target, atom = _tube_index(t, t2, dec.report, dec.marked)
+        sums, target, atom = _tube_index(t, t2, _below_lca(t, dec.report) | dec.marked)
         keep = set(sums)
         assert dec.marked <= keep and t.root in keep and t2.root in keep
+        # keep splits into parts where untracked vertices lie between the
+        # marked ones around the root and the bad ones deeper down
+        split += sum(t.parent[x] not in keep for x in keep) > 1
         # each kept vertex's share of its subtree's sums, and each atom's
         # sums, decode to one position; the positions are 0, ..., m - 1
         bits = 3 * n.bit_length()    # the index's field width
@@ -727,9 +849,14 @@ def test_tube_index_is_exact():
         tree = MutableTree(g, t, dec.marked)
         for _ in range(12):
             cur = ElimTree(tree.parent)
-            for x in keep:
+            for x in range(n):
                 is_tube = frozenset(descendants(cur, x)) in of_t2
-                assert (sums[x] in target) == is_tube, (t, t2, cur, x)
+                if x in keep:
+                    assert (sums[x] in target) == is_tube, (t, t2, cur, x)
+                else:
+                    # an untracked subtree is a tube of t2, so h counts
+                    # every tube t2 lacks
+                    assert is_tube, (t, t2, cur, x)
                 checked += 1
             edges = [(tree.parent[v], v) for v in sorted(dec.marked)
                      if tree.parent[v] in dec.marked]
@@ -740,7 +867,7 @@ def test_tube_index_is_exact():
             atoms_moved += sum(w not in keep for w in moved)
             new = sums[u] - sums[v] + sum(sums[w] if w in sums else atom(w) for w in moved)
             sums[u], sums[v] = new, sums[u]
-    assert checked > 50_000 and atoms_moved > 50
+    assert checked > 50_000 and atoms_moved > 50 and split > 30
 
 
 def test_search_matches_restricted_bfs():
@@ -752,10 +879,13 @@ def test_search_matches_restricted_bfs():
         t, t2 = random_tree(g, rng), random_tree(g, rng)
         k = rng.randrange(1, 4)
         dec = fpt_decide(g, t, t2, k)
-        d = restricted_bfs_distance(g, t, t2, dec.marked, cap=k)
+        # a NO certified before the marking has no M of its own
+        marked = compute_marking(g, t, t2, k).marked if t != t2 else dec.marked
+        d = restricted_bfs_distance(g, t, t2, marked, cap=k)
         if d is OVER_CAP:
             assert not dec.yes
             continue
         assert dec.yes and len(dec.witness) == d
         assert apply_sequence(g, t, dec.witness) == t2
-        assert all(u in dec.marked and v in dec.marked for u, v in dec.witness)
+        assert dec.marked == marked
+        assert all(u in marked and v in marked for u, v in dec.witness)

@@ -19,13 +19,14 @@ subtree touches, built from its own G-neighbours, its component
 children's masks and one walk of each child subtree hanging outside
 the ball.
 
-Before any of this, the certificates of `fpt_decide` settle most NOs
-from the two parent vectors: too many children-bad vertices, or, when
-t2 is not one rotation of t, too many tubes of t missing from t2.  An
-elimination tree is a maximal tubing whose tubes are its non-root
-subtrees, and a rotation of (u, v) trades exactly one tube, the subtree
-of v, for one (Carr and Devadoss, Topology Appl. 2006), so each rotation
-lowers that count by at most one.
+Before any of this, the certificates of `fpt_decide` settle from the
+two parent vectors every answer that needs no search: NO for too many
+children-bad vertices, YES when t2 is one rotation of t, and otherwise
+NO for too many tubes of t missing from t2.  An elimination tree is a
+maximal tubing whose tubes are its non-root subtrees, and a rotation of
+(u, v) trades exactly one tube, the subtree of v, for one (Carr and
+Devadoss, Topology Appl. 2006), so each rotation lowers that count by at
+most one.  The marking runs only to give the search its set M.
 
 The search is cut the same way: a node where the count exceeds the
 budget left is a dead end (IDA*).  On paths it also never rotates (u, v)
@@ -220,6 +221,18 @@ def check_early_no(report: BadnessReport, comps: list[Component], k: int) -> str
     The count certificate first; then, since each component of the ball
     holding a bad vertex needs at least one rotation of its own, more
     than k such components also rule out k rotations.
+
+    The second one never fires in `fpt_decide`, which marks only when
+    h0, the number of tubes of t that t2 lacks, is at most k: each such
+    component holds a vertex whose subtree in t is no subtree of t2, so
+    there are at most h0 of them.  A children-bad x has one among itself,
+    its children and its grandchildren: were all their subtrees in t2,
+    no grandchild's subtree would hold the top in t2 of a child's
+    subtree, nor a child's that of x's, so each would keep its top and x
+    its children.  A parent-bad vertex hangs from a children-bad one,
+    except the root of t, whose child holding the root of t2 has a
+    subtree t2 lacks.  Each of these lies within distance 2 of a seed of
+    the ball, whose radius is at least 3, so in the same component.
     """
     early = _count_certificate(report, k)
     if early is not None:
@@ -410,9 +423,10 @@ class Decision:
 
     compute_marking fills the pipeline fields, from `report` to
     `marked_per_component`; fpt_decide and its search set `yes` and
-    `witness`.  `lower_bound` is the least distance the certificates
-    before the marking prove (see fpt_decide); it is never above the
-    distance.
+    `witness`.  A decision settled before the marking has at most the
+    report of them.  `lower_bound` is the least distance the
+    certificates before the marking prove (see fpt_decide); it is never
+    above the distance.
     """
 
     k: int
@@ -497,18 +511,20 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
 
     1. The count certificate: more than 3k children-bad vertices is NO,
        named in `early_no`, with the bound ceil(|children-bad| / 3).
-    2. The one-rotation test (`_one_rotation`): whether t2 is one
-       rotation of t, the only YES at k = 1.  The bound is then 1.
+    2. The one-rotation test (`_one_rotation`): when t2 is one rotation
+       (u, v) of t, the only YES at k = 1, the answer is YES with that
+       witness and the bound 1.  u and v are children-bad, and `mark`
+       puts every children-bad vertex into M, so the witness lies in M.
     3. Otherwise the bound is max(2, h0), where h0 (`_tube_bound`) counts
        the tubes of t that t2 lacks; each rotation trades one tube, so
        h0 is at most the distance.  At k = 1 the bound is 2 and h0 is
-       not computed.  A bound above k is NO, with `early_no` None and no
-       ball, types, marks or search.
+       not computed.  A bound above k is NO, with `early_no` None.
 
-    Otherwise the paper's pipeline runs (`compute_marking`, whose
-    component certificate may still answer NO in `early_no`), so every
-    witness lies inside M: the one rotation, or the first shortest
-    sequence of `_search`, whose deepening starts at the bound.
+    None of these builds a ball, types or marks.  Otherwise the paper's
+    pipeline (`compute_marking`) gives the search its marked set M; its
+    component certificate cannot fire there (see `check_early_no`).  The
+    witness is then the first shortest sequence of `_search` inside M,
+    whose deepening starts at the bound.
     """
     if t.n != g.n or t2.n != g.n:
         raise InvalidParameter("graph and trees disagree on the vertex count")
@@ -528,21 +544,16 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
                         lower_bound=-(-len(report.children_bad) // 3))
     edge = _one_rotation(g, t, t2, report)
     if edge is not None:
-        bound, below = 1, None
-    else:
-        if k == 1:
-            return Decision(k=k, n=g.n, report=report, lower_bound=2)
-        below = _below_lca(t, report)
-        bound = max(2, _tube_bound(t, t2, below))
-        if bound > k:
-            return Decision(k=k, n=g.n, report=report, lower_bound=bound)
+        return Decision(k=k, n=g.n, yes=True, witness=(edge,), lower_bound=1, report=report)
+    if k == 1:
+        return Decision(k=k, n=g.n, report=report, lower_bound=2)
+    below = _below_lca(t, report)
+    bound = max(2, _tube_bound(t, t2, below))
+    if bound > k:
+        return Decision(k=k, n=g.n, report=report, lower_bound=bound)
     dec = compute_marking(g, t, t2, k, report)
     dec.lower_bound = bound
-    if dec.early_no is None:
-        if edge is not None:
-            dec.yes, dec.witness = True, (edge,)
-        else:
-            _search(g, t, t2, dec, below)
+    _search(g, t, t2, dec, below)
     return dec
 
 
@@ -558,8 +569,7 @@ def _one_rotation(g: Graph, t: ElimTree, t2: ElimTree,
     rotation gives t2.  So the touch test runs at most once, for the
     candidate that also sends v to u's parent.  Then t2 is the rotation
     exactly when t2 puts each moved child under u and no other parent
-    differs.  u and v are both children-bad, so both lie in the marked
-    set.
+    differs.
     """
     par, par2 = t.parent, t2.parent
     flips = [u for u in report.parent_bad if par2[u] != ROOT and par[par2[u]] == u]
@@ -586,7 +596,7 @@ def _tube_bound(t: ElimTree, t2: ElimTree, below: set[int]) -> int:
     or above it is the same set in both: a shared tube.  So is the
     subtree of any vertex of S with no bad vertex below it.
     """
-    sums, target, _, _ = _packed_sums(t, t2, below)
+    sums, target, _ = _tube_index(t, t2, below)
     return sum(1 for s in sums.values() if s not in target)
 
 
@@ -611,55 +621,32 @@ def _below_lca(t: ElimTree, report: BadnessReport) -> set[int]:
 def _tube_index(t: ElimTree, t2: ElimTree, keep: set[int]):
     """An exact, additive index of which subtrees of t are subtrees of t2.
 
-    Tracked are the vertices in keep: the marked ones, which the search
-    rotates, and `_below_lca`, which holds every tube of t that t2 lacks.
-    Any other subtree never changes in the search and is the same set in
-    t and t2, so each one hanging from a kept vertex is one element, an
-    atom, the same in both trees; see `_packed_sums`.  Between the marked
-    vertices around the root and L there may be such vertices, whose
-    subtrees hold kept ones: there keep splits into parts, numbered one
-    after another, and a subtree that holds a lower part is one atom of
-    the part above.
+    Tracked are the vertices in keep: `_below_lca`, which holds every
+    tube of t that t2 lacks, and for the search also the marked ones,
+    which it rotates.  keep is a forest in both trees.  Any other subtree
+    never changes in the search and is the same set in t and t2, so each
+    one hanging from a kept vertex is one element, an atom, the same in
+    both trees, and the subtree of each top of keep in t is the subtree
+    of a top of keep in t2.  Between the marked vertices around the root
+    and L there may be untracked vertices whose subtrees hold kept ones:
+    there keep splits into parts, numbered one after another, and a
+    subtree that holds a lower part is one atom of the part above.
+
+    The elements are numbered in a preorder of t2 over keep, with each
+    kept vertex's atoms, in vertex order, right after it, so each kept
+    subtree of t2 is a run of positions.  A set of elements is kept as
+    its count, sum of positions and sum of squares, packed into one
+    integer in fields too wide to carry, so sets add and subtract as
+    integers.  For a given count and sum, distinct integers have the
+    least sum of squares exactly when they form a run, so a kept subtree
+    of t is a subtree of t2 exactly when its packed sums are in the
+    target set.
 
     Returns the packed sums of each kept subtree of t, by vertex;
     `target`, those of the kept subtrees of t2; and `atom(w)`, the packed
     sums of the atom w, also stored under w.  An atom is numbered only
     when the search first moves it, so the set-up loops in Python over
     the kept vertices alone.
-    """
-    par = t.parent
-    sums, target, start, below = _packed_sums(t, t2, keep)
-    tkids = t._children
-    bits = 3 * t.n.bit_length()
-
-    def atom(w: int) -> int:
-        x = par[w]
-        p = start[x] + 1 + bisect_left(tkids[x], w) - sum(c < w for c in below[x])
-        sums[w] = one = _run(p, 1, bits)
-        return one
-
-    return sums, target, atom
-
-
-def _packed_sums(t: ElimTree, t2: ElimTree, keep: set[int]):
-    """The packed sums of the kept subtrees of t and of t2.
-
-    keep is a forest in both trees.  The subtrees hanging from kept
-    vertices outside keep are the same sets in both trees, each one
-    element, an atom, and the subtree of each top of keep in t is the
-    subtree of a top of keep in t2.  The elements are numbered in a
-    preorder of t2 over keep, with each kept vertex's atoms, in vertex
-    order, right after it, so each kept subtree of t2 is a run of
-    positions.  A set of elements is kept as its count, sum of positions
-    and sum of squares, packed into one integer in fields too wide to
-    carry, so sets add and subtract as integers.  For a given count and
-    sum, distinct integers have the least sum of squares exactly when
-    they form a run, so a kept subtree of t is a subtree of t2 exactly
-    when its packed sums are in the target set.
-
-    Returns the packed sums of each kept subtree of t, by vertex; the
-    target set, those of the kept subtrees of t2; each kept vertex's
-    position; and its kept children in t.
     """
     par, par2 = t.parent, t2.parent
     below: dict[int, list[int]] = {x: [] for x in keep}
@@ -694,7 +681,14 @@ def _packed_sums(t: ElimTree, t2: ElimTree, keep: set[int]):
     for x in reversed(order):
         if par[x] in sums:
             sums[par[x]] += sums[x]
-    return sums, set(target.values()), start, below
+
+    def atom(w: int) -> int:
+        x = par[w]
+        p = start[x] + 1 + bisect_left(tkids[x], w) - sum(c < w for c in below[x])
+        sums[w] = one = _run(p, 1, bits)
+        return one
+
+    return sums, set(target.values()), atom
 
 
 def _run(p: int, c: int, bits: int) -> int:

@@ -26,6 +26,7 @@ from rotdist import (
     apply_sequence,
     classify_bad,
     compute_bcb,
+    compute_marking,
     enumerate_all,
     enumerate_orderings,
     fpt_decide,
@@ -54,6 +55,7 @@ def sweep():
         "verdict_mismatches": [],
         "early_no_fired": 0,
         "early_no_unsound": [],
+        "early_no_after_marking": 0,
         "restricted_checked": 0,
         "restricted_failures": [],
         "replays_checked": 0,
@@ -96,15 +98,17 @@ def sweep():
                             res["certified_by_bound"][k] += dec.ball is None
                         if dec.early_no is not None:
                             res["early_no_fired"] += 1
+                            res["early_no_after_marking"] += dec.ball is not None
                             if d <= k:
                                 res["early_no_unsound"].append((g.edges(), ka, kb, k, d))
                         if dec.yes:
                             res["replays_checked"] += 1
                             reached = apply_sequence(g, ta, dec.witness)
+                            # one rotation is answered before the marking
+                            marked = compute_marking(g, ta, tb, k).marked if d == 1 else dec.marked
                             ok = (reached.parent == kb
                                   and len(dec.witness) == d
-                                  and all(u in dec.marked and v in dec.marked
-                                          for u, v in dec.witness))
+                                  and all(u in marked and v in marked for u, v in dec.witness))
                             if not ok:
                                 res["replay_failures"].append((g.edges(), ka, kb, k))
                         if d <= k:
@@ -188,10 +192,11 @@ def test_criterion_01_decision_matches_oracle(sweep):
         h0 = len(tubes(ka) - tubes(kb))
         if d >= 2 and _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb))) != h0:
             mismatches.append((gkey, ka, kb, "h0"))
+        marked = compute_marking(g, ta, tb, k).marked if d == 1 else dec.marked
         if dec.lower_bound > d or dec.yes != (d <= k) or dec.yes and not (
                 apply_sequence(g, ta, dec.witness).parent == kb
                 and len(dec.witness) == d
-                and all(u in dec.marked and v in dec.marked for u, v in dec.witness)):
+                and all(u in marked and v in marked for u, v in dec.witness)):
             mismatches.append((gkey, ka, kb, k))
         samples += 1
     assert mismatches == []
@@ -271,7 +276,8 @@ def test_criterion_06_complete_graph_distances_count_inversions():
 
 
 def test_criterion_07_marked_set_independent_of_degree(star_runs):
-    marks = {m: dec.marked for m, (_, _, _, dec, _) in star_runs.items()}
+    # fpt_decide answers one rotation before the marking; M is compute_marking's
+    marks = {m: compute_marking(g, t, t2, 2).marked for m, (g, t, t2, _, _) in star_runs.items()}
     for m, (_, _, _, dec, _) in star_runs.items():
         assert dec.yes and dec.witness == ((0, 5),), m
     assert marks[10] == marks[100] == marks[1000] == {0, 1, 2, 3, 5}
@@ -293,6 +299,8 @@ def test_criterion_08_balls_suffice_for_short_sequences(sweep):
 def test_criterion_09_early_no_is_sound(sweep):
     assert sweep["early_no_fired"] > 0
     assert sweep["early_no_unsound"] == []
+    # the component certificate never fires after the tube bound
+    assert sweep["early_no_after_marking"] == 0
     # a NO with early_no None came from the lower bound when it has no ball
     certified, searched = sweep["certified_by_bound"], sweep["searched_nos"]
     assert certified[1] == searched[1] > 0 and 0 < certified[3] < searched[3]
@@ -308,6 +316,7 @@ def test_criterion_10_witnesses_replay(sweep, star_runs):
     for m, (g, t, t2, dec, _) in star_runs.items():
         reached = apply_sequence(g, t, dec.witness)
         assert reached == t2, m
-        assert all(u in dec.marked and v in dec.marked for u, v in dec.witness)
+        marked = compute_marking(g, t, t2, 2).marked
+        assert all(u in marked and v in marked for u, v in dec.witness)
     note(f"criterion 10 (witness replay): PASS: {sweep['replays_checked']} sweep "
          f"witnesses plus the star instances replay onto their targets")

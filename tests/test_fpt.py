@@ -413,7 +413,8 @@ def test_decide_star_instance_marks_constant_set():
     dec = fpt_decide(g, t, t2, 2)
     assert dec.yes
     assert dec.witness == ((0, 17),)
-    assert dec.marked == {0, 1, 2, 3, 17}
+    # one rotation is answered before the marking, whose M holds it
+    assert compute_marking(g, t, t2, 2).marked == {0, 1, 2, 3, 17}
 
 
 def test_decide_star_marks_do_not_grow_with_degree():
@@ -422,9 +423,8 @@ def test_decide_star_marks_do_not_grow_with_degree():
         g = generate("star", m + 1)
         t = from_ordering(g, list(range(m + 1)))
         t2 = rotate(g, t, (0, 5))
-        dec = fpt_decide(g, t, t2, 2)
-        assert dec.yes
-        sizes[m] = dec.marked
+        assert fpt_decide(g, t, t2, 2).yes
+        sizes[m] = compute_marking(g, t, t2, 2).marked
     assert sizes[10] == sizes[100] == {0, 1, 2, 3, 5}
 
 
@@ -467,6 +467,7 @@ def test_early_decisions_dump_the_same_keys():
     for dec in (fpt_decide(P3, CHAIN, CHAIN, 2),      # equal trees
                 fpt_decide(P3, CHAIN, CHAIN_REV, 0),  # k = 0
                 fpt_decide(g, t, t2, 1),              # the count certificate
+                fpt_decide(P3, CHAIN, STAR1, 1),      # one rotation
                 fpt_decide(P3, CHAIN, CHAIN_REV, 1)):  # the tube bound
         d = dec.to_json_dict()
         assert list(d) == list(searched)
@@ -514,14 +515,16 @@ def test_fpt_matches_bfs_on_all_small_graphs():
                 for kb in keys:
                     d = dist[ka][kb]
                     for k in (1, 2, 3):
-                        dec = fpt_decide(g, fg.trees[ka], fg.trees[kb], k)
+                        ta, tb = fg.trees[ka], fg.trees[kb]
+                        dec = fpt_decide(g, ta, tb, k)
                         assert dec.yes == (d <= k), (g.edges(), ka, kb, k, d)
                         if dec.yes:
-                            got = apply_sequence(g, fg.trees[ka], dec.witness)
+                            got = apply_sequence(g, ta, dec.witness)
                             assert got.parent == kb
                             assert len(dec.witness) == d
-                            assert all(u in dec.marked and v in dec.marked
-                                       for u, v in dec.witness)
+                            # one rotation is answered before the marking
+                            marked = compute_marking(g, ta, tb, k).marked if d == 1 else dec.marked
+                            assert all(u in marked and v in marked for u, v in dec.witness)
 
 
 def test_optimal_witnesses_touch_few_sibling_subtrees():
@@ -804,6 +807,79 @@ def test_bound_certified_nos_skip_the_marking(monkeypatch):
         fpt_decide(*_random_walk(), 2)
 
 
+def test_one_rotation_yeses_skip_the_marking(monkeypatch):
+    # a YES one rotation away returns that rotation, with no ball or
+    # types, at every k; the M of compute_marking holds both its ends
+    def fail(*args):
+        raise AssertionError("the marking ran")
+
+    cases = []
+    g, t, t2 = stacked_star(3000, [17])         # a leaf lifted above the centre
+    cases.append((g, t, t2, (0, 17)))
+    g, t, _ = _random_walk()
+    cases.append((g, t, apply_sequence(g, t, [(538, 815)]), (538, 815)))
+    g, t, _ = _path_walk()
+    cases.append((g, t, apply_sequence(g, t, [(40, 41)]), (40, 41)))
+    monkeypatch.setattr(fpt, "compute_bcb", fail)
+    monkeypatch.setattr(fpt, "compute_types", fail)
+    for g, t, t2, edge in cases:
+        for k in (1, 2, 3):
+            dec = fpt_decide(g, t, t2, k)
+            assert dec.yes and dec.witness == (edge,) and dec.lower_bound == 1
+            assert dec.ball is None and dec.comps == [] and dec.table is None
+            assert dec.marked == frozenset() and dec.early_no is None
+            assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+    monkeypatch.undo()
+    for g, t, t2, edge in cases:
+        for k in (1, 2, 3):
+            assert set(edge) <= compute_marking(g, t, t2, k).marked
+
+
+def test_every_dirty_component_holds_a_missing_tube():
+    # every ball component holding a bad vertex holds a vertex whose
+    # subtree in t is no subtree of t2, so at most h0 components are
+    # dirty, and the component certificate cannot fire once the tube
+    # bound has let the marking run (check_early_no): every pair with
+    # n <= 4, then random pairs with n <= 60 at k = 1, ..., 5
+    def dirty_components(g, t, t2, k):
+        report = classify_bad(t, t2)
+        of_t2 = tubes(t2.parent)
+        missing = {v for v in range(t.n)
+                   if t.parent[v] != -1 and frozenset(descendants(t, v)) not in of_t2}
+        assert len(missing) == _h0(t, t2)
+        dirty = 0
+        for z in components(t, compute_bcb(t, report, k).vertices):
+            if not report.bad.isdisjoint(z.vertices):
+                assert not missing.isdisjoint(z.vertices), (g.edges(), t, t2, k, z)
+                dirty += 1
+        return dirty
+
+    pairs = 0
+    for n in range(1, 5):
+        for g in connected_graphs(n):
+            trees = list(enumerate_all(g).trees.values())
+            for t in trees:
+                for t2 in trees:
+                    dirty_components(g, t, t2, 1)
+                    pairs += 1
+    assert pairs == 2302
+    rng = random.Random(23)
+    split = 0
+    for trial in range(1500):
+        n = rng.randrange(2, 61)
+        g = generate("random_connected", n, seed=140_000 + trial, p=rng.choice([0.03, 0.1, 0.3]))
+        t = random_tree(g, rng)
+        k = rng.randrange(1, 6)
+        if trial % 3:
+            t2 = t
+            for _ in range(rng.randrange(1, k + 2)):
+                t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        else:
+            t2 = random_tree(g, rng)
+        split += dirty_components(g, t, t2, k) > 1
+    assert split > 50
+
+
 def test_tube_index_is_exact():
     # along random rotations inside M, with the packed sums updated as the
     # search updates them, a kept subtree's sums are in the target exactly
@@ -879,7 +955,8 @@ def test_search_matches_restricted_bfs():
         t, t2 = random_tree(g, rng), random_tree(g, rng)
         k = rng.randrange(1, 4)
         dec = fpt_decide(g, t, t2, k)
-        # a NO certified before the marking has no M of its own
+        # a NO certified before the marking and a YES one rotation away
+        # have no M of their own
         marked = compute_marking(g, t, t2, k).marked if t != t2 else dec.marked
         d = restricted_bfs_distance(g, t, t2, marked, cap=k)
         if d is OVER_CAP:
@@ -887,5 +964,5 @@ def test_search_matches_restricted_bfs():
             continue
         assert dec.yes and len(dec.witness) == d
         assert apply_sequence(g, t, dec.witness) == t2
-        assert dec.marked == marked
+        assert dec.marked == (marked if d > 1 else frozenset())
         assert all(u in marked and v in marked for u, v in dec.witness)

@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
                                "a tree on one vertex has no rotation")
     if args.reps < 1:
         raise InvalidParameter(f"--reps must be at least 1, got {args.reps}")
-    print("family,n,k,reps,median_ms,nodes_expanded,bound_cuts,face_cuts")
+    print("family,n,k,reps,median_ms,nodes_expanded,bound_cuts")
     for n in sizes:
         g, t, t2 = _bench_instance(args.family, n, args.k, args.seed)
         times = []
@@ -223,7 +223,7 @@ def cmd_bench(args) -> int:
             dec = fpt.fpt_decide(g, t, t2, args.k)
             times.append((time.perf_counter() - t0) * 1000.0)
         print(f"{args.family},{n},{args.k},{args.reps},{statistics.median(times):.3f},"
-              f"{dec.stats['nodes_expanded']},{dec.stats['bound_cuts']},{dec.stats['face_cuts']}")
+              f"{dec.stats['nodes_expanded']},{dec.stats['bound_cuts']}")
     return 0
 
 

@@ -28,19 +28,16 @@ maximal tubing whose tubes are its non-root subtrees, and a rotation of
 Devadoss, Topology Appl. 2006), so each rotation lowers that count by at
 most one.  The marking runs only to give the search its set M.
 
-The search is cut the same way: a node where the count exceeds the
-budget left is a dead end (IDA*).  On paths it also never rotates (u, v)
-when the subtree of v is a subtree of the target, the face rule: for the
-associahedron every geodesic between two trees of a face stays in the
-face (Sleator, Tarjan and Thurston, JAMS 1988).  That property fails for
-other graphs: on the star K_{1,5}, a shortest path can remove a tube its
-two ends share.  Both cuts keep every shortest path and the search keeps
-no memo, so the witness is the first shortest sequence in the order the
-plain search tries its moves.  Both read one index of which subtrees are
-subtrees of the target (`_tube_index`), set up over the marked vertices
-and the ancestors of the bad ones only: exact, since the face rule must
-never skip a move a geodesic makes, and additive, so that a rotation
-updates it at u and v only.
+The search is cut the same way, on every graph: a node where the count
+exceeds the budget left is a dead end (IDA*), and so is every rotation
+that removes a tube of the target from a node where the count equals
+its budget, which is skipped unrotated.  The cut prunes dead branches
+only and the search keeps no memo, so the witness is the first shortest
+sequence in the order the plain search tries its moves.  It reads one
+index of which subtrees are subtrees of the target (`_tube_index`), set
+up over the marked vertices and the ancestors of the bad ones only:
+exact, since a wrong answer would skip a live move, and additive, so
+that a rotation updates it at u and v only.
 """
 
 from __future__ import annotations
@@ -442,8 +439,7 @@ class Decision:
     premarked: frozenset[int] = frozenset()
     marked: frozenset[int] = frozenset()
     marked_per_component: dict[int, frozenset[int]] = field(default_factory=dict)
-    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "bound_cuts": 0,
-                                                  "face_cuts": 0})
+    stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "bound_cuts": 0})
 
     def to_json_dict(self) -> dict:
         comps = [
@@ -548,12 +544,13 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     if k == 1:
         return Decision(k=k, n=g.n, report=report, lower_bound=2)
     below = _below_lca(t, report)
-    bound = max(2, _tube_bound(t, t2, below))
+    h0 = _tube_bound(t, t2, below)
+    bound = max(2, h0)
     if bound > k:
         return Decision(k=k, n=g.n, report=report, lower_bound=bound)
     dec = compute_marking(g, t, t2, k, report)
     dec.lower_bound = bound
-    _search(g, t, t2, dec, below)
+    _search(g, t, t2, dec, below, h0)
     return dec
 
 
@@ -640,7 +637,8 @@ def _tube_index(t: ElimTree, t2: ElimTree, keep: set[int]):
     integers.  For a given count and sum, distinct integers have the
     least sum of squares exactly when they form a run, so a kept subtree
     of t is a subtree of t2 exactly when its packed sums are in the
-    target set.
+    target set.  The search needs it exact: a false match would cut a
+    live move at a node where h equals the budget.
 
     Returns the packed sums of each kept subtree of t, by vertex;
     `target`, those of the kept subtrees of t2; and `atom(w)`, the packed
@@ -701,14 +699,15 @@ def _run(p: int, c: int, bits: int) -> int:
     return (s2 << 2 * bits) + (s1 << bits) + c
 
 
-def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int]) -> None:
+def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int],
+            h0: int) -> None:
     """Iterative-deepening search over rotations inside the marked set,
-    cut by the tube lower bound and, on paths, the face rule; on success
-    it sets `dec.yes` and a shortest `dec.witness`.
+    cut by the tube lower bound; on success it sets `dec.yes` and a
+    shortest `dec.witness`.
 
     fpt_decide has already ruled out one rotation, so the deepening
-    starts at `dec.lower_bound`, at least 2; below is `_below_lca`.  The
-    search walks one
+    starts at `dec.lower_bound`, at least 2; below is `_below_lca` and h0
+    the `_tube_bound` fpt_decide counted over it.  The search walks one
     mutable copy of t, applying each rotation in place and undoing it by
     the reverse rotation, so a node costs the rotation's touch test, not
     a copy of the tree.
@@ -718,20 +717,19 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int])
     of the moved children, so it updates two packed sums of
     `_tube_index`.  h, the number of kept vertices whose subtree is no
     subtree of t2, counts the tubes of the current tree that t2 lacks,
-    since every other subtree is the same in both.  The rotation removes
-    the old subtree of v and adds the new one of u, so h rises by one
-    when the first is a subtree of t2 and falls by one when the second
-    is.  h = 0 is the goal test, and a node whose h exceeds its budget is
-    cut.  When g is a path, the trees are binary search trees, whose
-    geodesics never remove a tube their two ends share (Sleator, Tarjan
-    and Thurston, JAMS 1988), so no rotation removing a subtree of t2 is
-    tried: the face rule.  On other graphs that property can fail: on the
-    star K_{1,6}, every shortest path between some trees removes a
-    shared tube.
+    since every other subtree is the same in both; at the start it is h0,
+    as every kept subtree outside below is a shared tube.  The rotation
+    removes the old subtree of v and adds the new one of u, so h rises by
+    one when the first is a subtree of t2 and falls by one when the
+    second is.  h = 0 is the goal test, and a node whose h exceeds its
+    budget is cut.  Where h equals the budget, a rotation that removes a
+    subtree of t2 leaves h no lower with one rotation less to go, so its
+    child would be cut on entry: it is cut before the rotation instead.
+    This rests only on a rotation trading one tube, so it holds on every
+    graph.
     """
     marked, stats = dec.marked, dec.stats
     m_list = sorted(marked)
-    face = g.m == g.n - 1 and all(len(a) <= 2 for a in g._sorted)
     tree = MutableTree(g, t, marked)
     parent = tree.parent
     sums, target, atom = _tube_index(t, t2, below | marked)
@@ -750,8 +748,8 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int])
                 continue
             sv = sums[v]
             shared = sv in target
-            if shared and face:
-                stats["face_cuts"] += 1
+            if shared and h == budget:
+                stats["bound_cuts"] += 1
                 continue
             moved = tree.rotate(u, v)
             su = sums[u]
@@ -769,9 +767,8 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int])
             sums[v] = sv
         return False
 
-    h = sum(1 for s in sums.values() if s not in target)
     for budget in range(dec.lower_bound, dec.k + 1):
-        if dfs(budget, h):
+        if dfs(budget, h0):
             dec.yes, dec.witness = True, tuple(seq)
             break
     # dfs refers to itself; without the cycle, the tree and the graph it

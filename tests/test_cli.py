@@ -205,14 +205,14 @@ def test_bench_csv(capsys):
                "--reps", "2", "--seed", "7"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "family,n,k,reps,median_ms,nodes_expanded,bound_cuts,face_cuts"
+    assert lines[0] == "family,n,k,reps,median_ms,nodes_expanded,bound_cuts"
     assert len(lines) == 3
     assert lines[1].startswith("star,10,1,2,")
     assert lines[2].startswith("star,20,1,2,")
     rc = main(["bench", "--family", "path", "--sizes", "100", "-k", "3", "--reps", "1"])
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
-    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["5", "1", "78"]
+    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["5", "79"]
 
 
 def test_explain_command(p3, capsys):
@@ -229,7 +229,7 @@ def test_explain_command(p3, capsys):
         "components": [{"zroot": 0, "vertices": [0, 1, 2], "diameter": 2}],
         "vertex_types": {"0": 2, "1": 1, "2": 0}, "type_count": 3,
         "premarked": [0, 1, 2], "marked": [0, 1, 2], "marked_per_component": {"0": [0, 1, 2]},
-        "search": {"nodes_expanded": 3, "bound_cuts": 0, "face_cuts": 1}, "method": "fpt",
+        "search": {"nodes_expanded": 3, "bound_cuts": 1}, "method": "fpt",
     }
     # a NO instance exits 1 but still dumps
     rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
@@ -238,7 +238,7 @@ def test_explain_command(p3, capsys):
     d = json.loads(capsys.readouterr().out)
     # certified by the tube bound: two rotations at least, no ball, no search
     assert (d["verdict"], d["early_no"], d["lower_bound"], d["ball"]) == ("NO", None, 2, [])
-    assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+    assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0}
 
 
 def test_malformed_json_file(tmp_path, capsys):

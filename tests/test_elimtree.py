@@ -441,14 +441,12 @@ def test_touch_test_is_constant_time_on_a_star(monkeypatch, n, j):
         return real(self, u, v)
 
     monkeypatch.setattr(MutableTree, "rotate", rotate_checked)
-    for k in (j, j - 1):
-        dec = fpt_decide(g, t, t2, k)
-        assert dec.yes == (k == j)
-    # the NO at k = j - 1 is certified before the search; the YES lifts
-    # leaves above the centre and rotates the centre back under them,
-    # the same number of times at every n
-    assert len(rotations) == {2: 9, 3: 18}[j]
-    assert any(u != 0 for u, v in rotations)
+    dec = fpt_decide(g, t, t2, j)
+    assert dec.yes and len(dec.witness) == j
+    assert not fpt_decide(g, t, t2, j - 1).yes
+    # the NO at k = j - 1 is certified before the search; the YES rotates
+    # exactly its j witness moves, each lifting a leaf above the centre
+    assert rotations == list(dec.witness)
     # rotating the centre back under a leaf must be as cheap as lifting
     # one, though its walk meets n - 2 child subtrees
     state = MutableTree(g, t, frozenset([0, *leaves]))

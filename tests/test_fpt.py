@@ -454,7 +454,7 @@ def test_compute_marking_leaves_the_verdict_to_the_search():
     dec = compute_marking(P3, CHAIN, CHAIN_REV, 2)
     assert dec.early_no is None
     assert not dec.yes and dec.witness is None
-    assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+    assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0}
     assert dec.marked == {0, 1, 2} and dec.marked_per_component == {0: {0, 1, 2}}
     assert len(dec.table) == 3
 
@@ -471,7 +471,7 @@ def test_early_decisions_dump_the_same_keys():
                 fpt_decide(P3, CHAIN, CHAIN_REV, 1)):  # the tube bound
         d = dec.to_json_dict()
         assert list(d) == list(searched)
-        assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+        assert d["search"] == {"nodes_expanded": 0, "bound_cuts": 0}
 
 
 def test_decision_dump_structure():
@@ -486,8 +486,7 @@ def test_decision_dump_structure():
     assert d["components"][0]["diameter"] == 2
     assert set(d["vertex_types"]) == {"0", "1", "2"}
     assert d["marked"] == [0, 1, 2]
-    assert d["search"]["nodes_expanded"] > 0
-    assert d["search"]["face_cuts"] >= 0
+    assert d["search"] == {"nodes_expanded": 3, "bound_cuts": 1}
 
 
 def test_stats_present_on_no():
@@ -495,7 +494,7 @@ def test_stats_present_on_no():
     # its nodes
     dec = fpt_decide(P3, CHAIN, CHAIN_REV, 1)
     assert not dec.yes and dec.lower_bound == 2
-    assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+    assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0}
     g = generate("path", 4)
     dec = fpt_decide(g, ElimTree([1, -1, 1, 2]), ElimTree([3, 2, 0, -1]), 3)
     assert not dec.yes and dec.early_no is None and dec.lower_bound == 3
@@ -579,22 +578,21 @@ def _random_walk():
 
 
 # (instance, k) -> the witness, nodes expanded and memo hits of the
-# search without the tube bound and the face rule
-# (helpers.reference_search, over the M of compute_marking), then the
-# nodes expanded, bound cuts and face cuts of fpt_decide, and its lower
-# bound.  The cuts must leave the witness as it is.  Each NO here is
-# certified by the lower bound before the marking, so it searches
-# nothing; only the path instances get the face rule.
+# search without the tube bound (helpers.reference_search, over the M of
+# compute_marking), then the nodes expanded and bound cuts of
+# fpt_decide, and its lower bound.  The cuts must leave the witness as it
+# is.  Each NO here is certified by the lower bound before the marking,
+# so it searches nothing.
 SEARCH_PINS = [
-    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 10, 7, 0, 2),
-    (lambda: stacked_star(3000, [17, 1234]), 1, None, 5, 0, 0, 0, 0, 2),
+    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 3, 7, 2),
+    (lambda: stacked_star(3000, [17, 1234]), 1, None, 5, 0, 0, 0, 2),
     (lambda: stacked_star(3000, [5, 900, 2500]), 3,
-     ((0, 5), (0, 900), (0, 2500)), 315, 4, 19, 15, 0, 3),
-    (lambda: stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 0, 0, 0, 3),
-    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 4, 0, 48, 3),
-    (_path_walk, 2, None, 401, 0, 0, 0, 0, 3),
-    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 30, 27, 0, 2),
-    (_random_walk, 1, None, 13, 0, 0, 0, 0, 2),
+     ((0, 5), (0, 900), (0, 2500)), 315, 4, 4, 15, 3),
+    (lambda: stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 0, 0, 3),
+    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 4, 48, 3),
+    (_path_walk, 2, None, 401, 0, 0, 0, 3),
+    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 3, 27, 2),
+    (_random_walk, 1, None, 13, 0, 0, 0, 2),
 ]
 
 
@@ -605,16 +603,15 @@ def _pin_id(i, pin):
                      str(nodes), str(memo_hits)])
 
 
-@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,bound_cuts,face_cuts,"
-                         "lower_bound",
+@pytest.mark.parametrize("make,k,witness,plain_nodes,plain_memo_hits,nodes,bound_cuts,lower_bound",
                          SEARCH_PINS, ids=[_pin_id(i, pin) for i, pin in enumerate(SEARCH_PINS)])
 def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes, bound_cuts,
-                          face_cuts, lower_bound):
+                          lower_bound):
     g, t, t2 = make()
     dec = fpt_decide(g, t, t2, k)
     assert dec.early_no is None and dec.lower_bound == lower_bound
     assert (dec.witness, dec.stats) == \
-        (witness, {"nodes_expanded": nodes, "bound_cuts": bound_cuts, "face_cuts": face_cuts})
+        (witness, {"nodes_expanded": nodes, "bound_cuts": bound_cuts})
     marked = compute_marking(g, t, t2, k).marked
     assert reference_search(g, t, t2, marked, k) == (witness, plain_nodes, plain_memo_hits)
     if witness is None:
@@ -626,9 +623,9 @@ def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes,
 def _against_the_plain_search(family):
     """The stats of fpt_decide on targets a few rotations away and on
     random ones, each after checking that it gives the verdict and the
-    witness of the search without the bound and the face rule, over the
-    M of compute_marking, and expands no more nodes.  family is
-    "random" (random connected graphs) or "path"."""
+    witness of the search without the bound, over the M of
+    compute_marking, and expands no more nodes.  family is "random"
+    (random connected graphs) or "path"."""
     rng = random.Random(19)
     out = []
     for trial in range(900):
@@ -656,16 +653,11 @@ def _against_the_plain_search(family):
 
 
 def test_the_bound_cuts_only_dead_branches():
-    stats = _against_the_plain_search("random")
-    assert len(stats) >= 600 and sum(s["bound_cuts"] > 0 for s in stats) > 100
-
-
-def test_the_face_rule_cuts_only_dead_branches():
-    # on a path a geodesic never leaves the face of a tube its ends share
-    # (Sleator, Tarjan and Thurston), so skipping the rotations that
-    # remove one leaves the first shortest witness as it is
-    stats = _against_the_plain_search("path")
-    assert len(stats) >= 600 and sum(s["face_cuts"] > 0 for s in stats) > 100
+    # on paths and on random graphs alike, the cuts before and after a
+    # rotation leave the first shortest witness as it is
+    for family in ("random", "path"):
+        stats = _against_the_plain_search(family)
+        assert len(stats) >= 600 and sum(s["bound_cuts"] > 0 for s in stats) > 100, family
 
 
 def test_the_tube_bound_is_at_most_the_distance():
@@ -691,7 +683,8 @@ def test_geodesics_never_remove_a_shared_tube():
     # the non-leaving-face property: a rotation on a shortest path from a
     # to b never removes a tube that a and b share; every ordered pair
     # with n <= 5, two seeded graphs with n = 6, and the paths with n = 6
-    # and 7, where the face rule relies on it
+    # and 7; the search uses no such face rule and cuts by the tube
+    # bound alone
     graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
     graphs += [generate("random_connected", 6, seed=seed, p=0.35) for seed in (0, 1)]
     graphs += [generate("path", 6), generate("path", 7)]
@@ -716,7 +709,8 @@ def test_a_geodesic_of_a_star_can_remove_a_shared_tube():
     # the property above fails on the star K_{1,5} with centre 5: the two
     # trees share the tube {5}, 10 rotations apart, and the rotation
     # (4, 5), which removes it, starts a shortest path; so the search
-    # applies the face rule on paths only
+    # has no face rule, and skips such a rotation only where the tube
+    # bound would cut its child
     g = Graph(6, [(5, i) for i in range(5)])
     a, b = ElimTree([-1, 0, 1, 2, 3, 4]), ElimTree([1, 2, 3, 4, -1, 0])
     shared = frozenset({5})
@@ -728,8 +722,8 @@ def test_a_geodesic_of_a_star_can_remove_a_shared_tube():
 
 def test_the_search_may_remove_a_shared_tube():
     # the star K_{1,6} with centre 6: every shortest path between these
-    # trees removes their shared tube {6}, and a face rule on stars
-    # answered NO at k = 12
+    # trees removes their shared tube {6}, so a face rule would answer NO
+    # at k = 12; the search has none
     g = Graph(7, [(6, i) for i in range(6)])
     a, b = ElimTree([-1, 0, 1, 2, 3, 4, 5]), ElimTree([1, 2, 4, -1, 5, 3, 0])
     assert frozenset({6}) in tubes(a.parent) & tubes(b.parent)
@@ -737,9 +731,10 @@ def test_the_search_may_remove_a_shared_tube():
     assert dec.yes and len(dec.witness) == 12
     assert apply_sequence(g, a, dec.witness) == b
     assert all(u in dec.marked and v in dec.marked for u, v in dec.witness)
-    assert dec.stats["face_cuts"] == 0
+    assert dec.stats == {"nodes_expanded": 1_517_773, "bound_cuts": 1_514_195}
     dec = fpt_decide(g, a, b, 11)
     assert not dec.yes and dec.early_no is None and dec.lower_bound == 5
+    assert dec.stats == {"nodes_expanded": 250_697, "bound_cuts": 247_482}
 
 
 def _h0(t, t2):
@@ -828,7 +823,7 @@ def test_one_rotation_yeses_skip_the_marking(monkeypatch):
             assert dec.yes and dec.witness == (edge,) and dec.lower_bound == 1
             assert dec.ball is None and dec.comps == [] and dec.table is None
             assert dec.marked == frozenset() and dec.early_no is None
-            assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0, "face_cuts": 0}
+            assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0}
     monkeypatch.undo()
     for g, t, t2, edge in cases:
         for k in (1, 2, 3):
@@ -899,8 +894,12 @@ def test_tube_index_is_exact():
         dec = compute_marking(g, t, t2, k)
         if dec.early_no is not None or t == t2:
             continue
-        sums, target, atom = _tube_index(t, t2, _below_lca(t, dec.report) | dec.marked)
+        below = _below_lca(t, dec.report)
+        sums, target, atom = _tube_index(t, t2, below | dec.marked)
         keep = set(sums)
+        # every kept subtree outside below is a shared tube, so the search
+        # starts from the h0 that fpt_decide counted over below alone
+        assert sum(s not in target for s in sums.values()) == _tube_bound(t, t2, below)
         assert dec.marked <= keep and t.root in keep and t2.root in keep
         # keep splits into parts where untracked vertices lie between the
         # marked ones around the root and the bad ones deeper down

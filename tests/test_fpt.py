@@ -621,11 +621,11 @@ def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes,
 
 
 def _against_the_plain_search(family):
-    """The stats of fpt_decide on targets a few rotations away and on
-    random ones, each after checking that it gives the verdict and the
-    witness of the search without the bound, over the M of
-    compute_marking, and expands no more nodes.  family is "random"
-    (random connected graphs) or "path"."""
+    """The instances (g, t, t2, marked) and decisions of fpt_decide on
+    targets a few rotations away and on random ones, each after checking
+    that it gives the verdict and the witness of the search without the
+    bound, over the M of compute_marking, and expands no more nodes.
+    family is "random" (random connected graphs) or "path"."""
     rng = random.Random(19)
     out = []
     for trial in range(900):
@@ -648,7 +648,7 @@ def _against_the_plain_search(family):
         witness, nodes, _ = reference_search(g, t, t2, marked, k)
         assert (dec.yes, dec.witness) == (witness is not None, witness), (g.edges(), t, t2, k)
         assert dec.stats["nodes_expanded"] <= nodes
-        out.append(dec.stats)
+        out.append(((g, t, t2, marked), dec))
     return out
 
 
@@ -656,8 +656,36 @@ def test_the_bound_cuts_only_dead_branches():
     # on paths and on random graphs alike, the cuts before and after a
     # rotation leave the first shortest witness as it is
     for family in ("random", "path"):
-        stats = _against_the_plain_search(family)
+        stats = [dec.stats for _, dec in _against_the_plain_search(family)]
         assert len(stats) >= 600 and sum(s["bound_cuts"] > 0 for s in stats) > 100, family
+
+
+def test_the_face_rule_cuts_only_dead_branches():
+    # on a path a geodesic never leaves the face of a tube its ends share
+    # (Sleator, Tarjan and Thurston), so a face rule, skipping the
+    # rotations that remove a tube of the target, would leave the first
+    # shortest witness as it is: no rotation of the witness removes one.
+    # The search has no such rule; this checks that on paths it would
+    # have had moves to cut and cut none the witness makes
+    instances = _against_the_plain_search("path")
+    assert len(instances) >= 600
+    would_cut = 0
+    for (g, t, t2, marked), dec in instances:
+        if not dec.yes:
+            continue
+        target = tubes(t2.parent)
+        cur, cut = t, False
+        for r in dec.witness:
+            inside = [(u, v) for v, u in enumerate(cur.parent)
+                      if u >= 0 and u in marked and v in marked]
+            cut = cut or any((tubes(cur.parent) - tubes(rotate(g, cur, e).parent)) & target
+                             for e in inside)
+            nxt = rotate(g, cur, r)
+            assert not (tubes(cur.parent) - tubes(nxt.parent)) & target, (g.edges(), t, t2, r)
+            cur = nxt
+        assert cur == t2
+        would_cut += cut
+    assert would_cut > 100
 
 
 def test_the_tube_bound_is_at_most_the_distance():

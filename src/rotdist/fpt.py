@@ -20,13 +20,15 @@ children's masks and one walk of each child subtree hanging outside
 the ball.
 
 Before any of this, the certificates of `fpt_decide` settle from the
-two parent vectors every answer that needs no search: NO for too many
-children-bad vertices, YES when t2 is one rotation of t, and otherwise
-NO for too many tubes of t missing from t2.  An elimination tree is a
-maximal tubing whose tubes are its non-root subtrees, and a rotation of
-(u, v) trades exactly one tube, the subtree of v, for one (Carr and
-Devadoss, Topology Appl. 2006), so each rotation lowers that count by at
-most one.  The marking runs only to give the search its set M.
+two parent vectors every answer that needs no marking: NO for too many
+children-bad vertices, YES when t2 is one rotation of t, NO for too many
+tubes of t missing from t2, and YES when a search over the bad vertices
+finds exactly that many rotations.  An elimination tree is a maximal
+tubing whose tubes are its non-root subtrees, and a rotation of (u, v)
+trades exactly one tube, the subtree of v, for one (Carr and Devadoss,
+Topology Appl. 2006), so each rotation lowers that count by at most one:
+it is at most the distance, and a sequence that long is shortest.  The
+marking runs only to give the search its set M.
 
 The search is cut the same way, on every graph: a node where the count
 exceeds the budget left is a dead end (IDA*), and so is every rotation
@@ -35,7 +37,7 @@ its budget, which is skipped unrotated.  The cut prunes dead branches
 only and the search keeps no memo, so the witness is the first shortest
 sequence in the order the plain search tries its moves.  It reads one
 index of which subtrees are subtrees of the target (`_tube_index`), set
-up over the marked vertices and the ancestors of the bad ones only:
+up over the vertices it rotates and the ancestors of the bad ones only:
 exact, since a wrong answer would skip a live move, and additive, so
 that a rotation updates it at u and v only.
 """
@@ -500,9 +502,9 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
 
     Both trees must be valid elimination trees of g (not re-checked
     here).  The verdict is exact; YES comes with a shortest rotation
-    sequence over marked vertices.
+    sequence.
 
-    After `classify_bad`, three certificates run before the marking, in
+    After `classify_bad`, four certificates run before the marking, in
     this order, and set `lower_bound`:
 
     1. The count certificate: more than 3k children-bad vertices is NO,
@@ -515,12 +517,18 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
        the tubes of t that t2 lacks; each rotation trades one tube, so
        h0 is at most the distance.  At k = 1 the bound is 2 and h0 is
        not computed.  A bound above k is NO, with `early_no` None.
+    4. When h0 >= 2, one pass of `_search` at budget h0 rotates only bad
+       vertices, on the index the bound was counted on.  A sequence of
+       h0 rotations that reaches t2 is shortest, since h0 is at most the
+       distance, so if the pass finds one the answer is YES with it and
+       the bound h0.  Otherwise the pass proves nothing, since a shortest
+       sequence may rotate a vertex that is not bad.
 
     None of these builds a ball, types or marks.  Otherwise the paper's
     pipeline (`compute_marking`) gives the search its marked set M; its
     component certificate cannot fire there (see `check_early_no`).  The
     witness is then the first shortest sequence of `_search` inside M,
-    whose deepening starts at the bound.
+    whose deepening starts at the bound; its counters add to the pass's.
     """
     if t.n != g.n or t2.n != g.n:
         raise InvalidParameter("graph and trees disagree on the vertex count")
@@ -544,13 +552,17 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     if k == 1:
         return Decision(k=k, n=g.n, report=report, lower_bound=2)
     below = _below_lca(t, report)
-    h0 = _tube_bound(t, t2, below)
+    h0, index = _tube_bound(t, t2, below)
     bound = max(2, h0)
+    dec = Decision(k=k, n=g.n, report=report, lower_bound=bound)
     if bound > k:
-        return Decision(k=k, n=g.n, report=report, lower_bound=bound)
+        return dec
+    if h0 >= 2 and _search(g, t, t2, dec, report.bad, index, h0, h0):
+        return dec
+    stats = dec.stats
     dec = compute_marking(g, t, t2, k, report)
-    dec.lower_bound = bound
-    _search(g, t, t2, dec, below, h0)
+    dec.lower_bound, dec.stats = bound, stats
+    _search(g, t, t2, dec, dec.marked, _tube_index(t, t2, below | dec.marked), h0, k)
     return dec
 
 
@@ -582,9 +594,10 @@ def _one_rotation(g: Graph, t: ElimTree, t2: ElimTree,
     return u, v
 
 
-def _tube_bound(t: ElimTree, t2: ElimTree, below: set[int]) -> int:
+def _tube_bound(t: ElimTree, t2: ElimTree, below: set[int]):
     """h0, the number of tubes of t (its non-root subtrees) that are no
-    subtree of t2; below is `_below_lca` of the two trees.
+    subtree of t2, and the `_tube_index` over below it was counted on;
+    below is `_below_lca` of the two trees.
 
     Only the subtrees of the vertices in below can be missing from t2:
     no vertex outside the subtree S of L in t is bad, so each has the
@@ -593,8 +606,9 @@ def _tube_bound(t: ElimTree, t2: ElimTree, below: set[int]) -> int:
     or above it is the same set in both: a shared tube.  So is the
     subtree of any vertex of S with no bad vertex below it.
     """
-    sums, target, _ = _tube_index(t, t2, below)
-    return sum(1 for s in sums.values() if s not in target)
+    index = _tube_index(t, t2, below)
+    sums, target, _ = index
+    return sum(1 for s in sums.values() if s not in target), index
 
 
 def _below_lca(t: ElimTree, report: BadnessReport) -> set[int]:
@@ -619,15 +633,16 @@ def _tube_index(t: ElimTree, t2: ElimTree, keep: set[int]):
     """An exact, additive index of which subtrees of t are subtrees of t2.
 
     Tracked are the vertices in keep: `_below_lca`, which holds every
-    tube of t that t2 lacks, and for the search also the marked ones,
-    which it rotates.  keep is a forest in both trees.  Any other subtree
-    never changes in the search and is the same set in t and t2, so each
-    one hanging from a kept vertex is one element, an atom, the same in
-    both trees, and the subtree of each top of keep in t is the subtree
-    of a top of keep in t2.  Between the marked vertices around the root
-    and L there may be untracked vertices whose subtrees hold kept ones:
-    there keep splits into parts, numbered one after another, and a
-    subtree that holds a lower part is one atom of the part above.
+    tube of t that t2 lacks and the bad vertices, and for the search
+    over M also the marked ones, which it rotates.  keep is a forest in
+    both trees.  Any other subtree never changes in the search and is
+    the same set in t and t2, so each one hanging from a kept vertex is
+    one element, an atom, the same in both trees, and the subtree of
+    each top of keep in t is the subtree of a top of keep in t2.
+    Between the marked vertices around the root and L there may be
+    untracked vertices whose subtrees hold kept ones: there keep splits
+    into parts, numbered one after another, and a subtree that holds a
+    lower part is one atom of the part above.
 
     The elements are numbered in a preorder of t2 over keep, with each
     kept vertex's atoms, in vertex order, right after it, so each kept
@@ -699,18 +714,19 @@ def _run(p: int, c: int, bits: int) -> int:
     return (s2 << 2 * bits) + (s1 << bits) + c
 
 
-def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int],
-            h0: int) -> None:
-    """Iterative-deepening search over rotations inside the marked set,
-    cut by the tube lower bound; on success it sets `dec.yes` and a
-    shortest `dec.witness`.
+def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, movable: frozenset[int],
+            index, h0: int, last: int) -> bool:
+    """Iterative-deepening search over rotations with both ends in
+    movable, cut by the tube lower bound, at budgets `dec.lower_bound`
+    to last; on success it sets `dec.yes` and a shortest `dec.witness`
+    and returns True.  Its counters add to `dec.stats`.
 
-    fpt_decide has already ruled out one rotation, so the deepening
-    starts at `dec.lower_bound`, at least 2; below is `_below_lca` and h0
-    the `_tube_bound` fpt_decide counted over it.  The search walks one
-    mutable copy of t, applying each rotation in place and undoing it by
-    the reverse rotation, so a node costs the rotation's touch test, not
-    a copy of the tree.
+    index is a `_tube_index` whose kept vertices hold movable and
+    `_below_lca`, and h0 the `_tube_bound` fpt_decide counted; fpt_decide
+    has ruled out one rotation, so the deepening starts at 2 or more.
+    The search walks one mutable copy of t, applying each rotation in
+    place and undoing it by the reverse rotation, so a node costs the
+    rotation's touch test, not a copy of the tree.
 
     A rotation changes the subtrees of u and v only: v gets the old
     subtree of u, and u the old one less the old subtree of v plus those
@@ -726,13 +742,15 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int],
     subtree of t2 leaves h no lower with one rotation less to go, so its
     child would be cut on entry: it is cut before the rotation instead.
     This rests only on a rotation trading one tube, so it holds on every
-    graph.
+    graph.  At budget h0 the two cuts leave only the moves that add a
+    subtree of t2, so fpt_decide's pass over the bad vertices there is a
+    short greedy walk.
     """
-    marked, stats = dec.marked, dec.stats
-    m_list = sorted(marked)
-    tree = MutableTree(g, t, marked)
+    stats = dec.stats
+    m_list = sorted(movable)
+    tree = MutableTree(g, t, movable)
     parent = tree.parent
-    sums, target, atom = _tube_index(t, t2, below | marked)
+    sums, target, atom = index
     seq: list[RotationEdge] = []
 
     def dfs(budget: int, h: int) -> bool:
@@ -744,7 +762,7 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int],
             return False
         for v in m_list:
             u = parent[v]
-            if u == ROOT or u not in marked:
+            if u == ROOT or u not in movable:
                 continue
             sv = sums[v]
             shared = sv in target
@@ -767,10 +785,11 @@ def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, below: set[int],
             sums[v] = sv
         return False
 
-    for budget in range(dec.lower_bound, dec.k + 1):
+    for budget in range(dec.lower_bound, last + 1):
         if dfs(budget, h0):
             dec.yes, dec.witness = True, tuple(seq)
             break
     # dfs refers to itself; without the cycle, the tree and the graph it
     # holds are freed now rather than at the next garbage collection
     del dfs
+    return dec.yes

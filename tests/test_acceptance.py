@@ -64,6 +64,8 @@ def sweep():
         "tube_bounds_checked": 0,
         "certified_by_bound": {1: 0, 2: 0, 3: 0},
         "searched_nos": {1: 0, 2: 0, 3: 0},
+        "yes_at_2_or_more": 0,
+        "yes_before_marking": 0,
     }
     for n in range(1, 6):
         gs = connected_graphs(n)
@@ -84,7 +86,7 @@ def sweep():
                         # h0 as fpt_decide computes it, against its definition
                         res["tube_bounds_checked"] += 1
                         h0 = len(tubings[ka] - tubings[kb])
-                        if _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb))) != h0:
+                        if _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb)))[0] != h0:
                             res["bound_failures"].append((g.edges(), ka, kb, "h0"))
                     for k in (1, 2, 3):
                         res["instances"] += 1
@@ -103,9 +105,13 @@ def sweep():
                                 res["early_no_unsound"].append((g.edges(), ka, kb, k, d))
                         if dec.yes:
                             res["replays_checked"] += 1
+                            if d >= 2:
+                                res["yes_at_2_or_more"] += 1
+                                res["yes_before_marking"] += dec.ball is None
                             reached = apply_sequence(g, ta, dec.witness)
-                            # one rotation is answered before the marking
-                            marked = compute_marking(g, ta, tb, k).marked if d == 1 else dec.marked
+                            # a YES at d = 1 or d = h0 is answered before
+                            # the marking, so M is that of compute_marking
+                            marked = compute_marking(g, ta, tb, k).marked
                             ok = (reached.parent == kb
                                   and len(dec.witness) == d
                                   and all(u in marked and v in marked for u, v in dec.witness))
@@ -190,9 +196,10 @@ def test_criterion_01_decision_matches_oracle(sweep):
         # would be kept for the whole test
         d = fg.distances_from(ka)[kb]
         h0 = len(tubes(ka) - tubes(kb))
-        if d >= 2 and _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb))) != h0:
+        if d >= 2 and _tube_bound(ta, tb, _below_lca(ta, classify_bad(ta, tb)))[0] != h0:
             mismatches.append((gkey, ka, kb, "h0"))
-        marked = compute_marking(g, ta, tb, k).marked if d == 1 else dec.marked
+        # a YES at d = 1 or d = h0 skips the marking
+        marked = compute_marking(g, ta, tb, k).marked if dec.yes else frozenset()
         if dec.lower_bound > d or dec.yes != (d <= k) or dec.yes and not (
                 apply_sequence(g, ta, dec.witness).parent == kb
                 and len(dec.witness) == d
@@ -318,5 +325,10 @@ def test_criterion_10_witnesses_replay(sweep, star_runs):
         assert reached == t2, m
         marked = compute_marking(g, t, t2, 2).marked
         assert all(u in marked and v in marked for u, v in dec.witness)
+    # a YES at d = h0 is answered by one search over the bad vertices
+    skipped, total = sweep["yes_before_marking"], sweep["yes_at_2_or_more"]
+    assert 0 < skipped < total
     note(f"criterion 10 (witness replay): PASS: {sweep['replays_checked']} sweep "
-         f"witnesses plus the star instances replay onto their targets")
+         f"witnesses plus the star instances replay onto their targets, all inside "
+         f"compute_marking's M; {skipped} of the {total} sweep YES answers at d >= 2 "
+         f"skip the marking")

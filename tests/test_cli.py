@@ -107,7 +107,8 @@ def test_distance_explain_json(p3, capsys):
     assert rc == 0
     d = json.loads(capsys.readouterr().out)
     assert d["verdict"] == "YES"
-    assert d["marked"] == [0, 1, 2]
+    # d = h0 = 2: answered before the marking, so no M
+    assert d["witness"] == [[0, 1], [1, 2]] and d["marked"] == []
     assert d["method"] == "fpt"
 
 
@@ -212,25 +213,41 @@ def test_bench_csv(capsys):
     rc = main(["bench", "--family", "path", "--sizes", "100", "-k", "3", "--reps", "1"])
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
-    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["5", "79"]
+    assert row[:4] == ["path", "100", "3", "1"] and row[5:] == ["5", "9"]
 
 
-def test_explain_command(p3, capsys):
-    # the whole pipeline dump is pinned; only time_ms varies between runs
-    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
-               "-k", "2", "--method", "fpt", "--explain"])
+def test_explain_command(p3, tmp_path, capsys):
+    # the whole pipeline dump is pinned; only time_ms varies between runs.
+    # On P4, 3 lifted to the root of the chain: d = h0 = 3, but the
+    # witness rotates 1, which is not bad, so the marking runs
+    g = generate("path", 4)
+    p4, a, b = (str(tmp_path / name) for name in ("p4.json", "a.json", "b.json"))
+    save_graph(g, p4)
+    save_tree(from_ordering(g, [0, 1, 2, 3]), a)
+    save_tree(from_ordering(g, [3, 0, 1, 2]), b)
+    rc = main(["distance", "-g", p4, "-s", a, "-t", b, "-k", "3", "--method", "fpt", "--explain"])
     assert rc == 0
     d = json.loads(capsys.readouterr().out)
     assert d.pop("time_ms") >= 0
     assert d == {
-        "n": 3, "k": 2, "verdict": "YES", "witness": [[0, 1], [1, 2]],
-        "children_bad": [0, 1, 2], "parent_bad": [0, 1, 2], "early_no": None,
-        "lower_bound": 2, "ball_radius": 5, "ball": [0, 1, 2],
-        "components": [{"zroot": 0, "vertices": [0, 1, 2], "diameter": 2}],
-        "vertex_types": {"0": 2, "1": 1, "2": 0}, "type_count": 3,
-        "premarked": [0, 1, 2], "marked": [0, 1, 2], "marked_per_component": {"0": [0, 1, 2]},
-        "search": {"nodes_expanded": 3, "bound_cuts": 1}, "method": "fpt",
+        "n": 4, "k": 3, "verdict": "YES", "witness": [[2, 3], [1, 3], [0, 3]],
+        "children_bad": [2, 3], "parent_bad": [0, 3], "early_no": None,
+        "lower_bound": 3, "ball_radius": 7, "ball": [0, 1, 2, 3],
+        "components": [{"zroot": 0, "vertices": [0, 1, 2, 3], "diameter": 3}],
+        "vertex_types": {"0": 3, "1": 2, "2": 1, "3": 0}, "type_count": 4,
+        "premarked": [0, 1, 2, 3], "marked": [0, 1, 2, 3],
+        "marked_per_component": {"0": [0, 1, 2, 3]},
+        "search": {"nodes_expanded": 9, "bound_cuts": 7}, "method": "fpt",
     }
+    # a YES at d = h0 is answered by the search over the bad vertices
+    # before the marking: no ball, types or marks
+    rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
+               "-k", "2", "--method", "fpt", "--explain"])
+    assert rc == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["witness"], d["lower_bound"], d["ball"], d["vertex_types"], d["marked"]) == \
+        ([[0, 1], [1, 2]], 2, [], {}, [])
+    assert d["search"] == {"nodes_expanded": 3, "bound_cuts": 1}
     # a NO instance exits 1 but still dumps
     rc = main(["distance", "-g", p3["graph"], "-s", p3["chain"], "-t", p3["rev"],
                "-k", "1", "--method", "fpt", "--explain"])

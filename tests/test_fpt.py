@@ -475,17 +475,24 @@ def test_early_decisions_dump_the_same_keys():
 
 
 def test_decision_dump_structure():
-    dec = fpt_decide(P3, CHAIN, CHAIN_REV, 2)
+    # on P4, 3 lifted to the root of the chain: d = h0 = 3, but the
+    # witness rotates 1, which is not bad, so the marking runs
+    g = generate("path", 4)
+    dec = fpt_decide(g, from_parent_vector([-1, 0, 1, 2]), from_parent_vector([3, 0, 1, -1]), 3)
     d = dec.to_json_dict()
     assert d["verdict"] == "YES"
-    assert d["witness"] == [[0, 1], [1, 2]]
-    assert d["children_bad"] == [0, 1, 2]
-    assert d["ball_radius"] == 5
-    assert d["ball"] == [0, 1, 2]
+    assert d["witness"] == [[2, 3], [1, 3], [0, 3]]
+    assert d["children_bad"] == [2, 3]
+    assert d["ball_radius"] == 7
+    assert d["ball"] == [0, 1, 2, 3]
     assert [c["zroot"] for c in d["components"]] == [0]
-    assert d["components"][0]["diameter"] == 2
-    assert set(d["vertex_types"]) == {"0", "1", "2"}
-    assert d["marked"] == [0, 1, 2]
+    assert d["components"][0]["diameter"] == 3
+    assert set(d["vertex_types"]) == {"0", "1", "2", "3"}
+    assert d["marked"] == [0, 1, 2, 3]
+    assert d["search"] == {"nodes_expanded": 9, "bound_cuts": 7}
+    # P3 reversed: d = h0 = 2, answered before the marking
+    d = fpt_decide(P3, CHAIN, CHAIN_REV, 2).to_json_dict()
+    assert (d["witness"], d["lower_bound"], d["ball"], d["marked"]) == ([[0, 1], [1, 2]], 2, [], [])
     assert d["search"] == {"nodes_expanded": 3, "bound_cuts": 1}
 
 
@@ -521,8 +528,9 @@ def test_fpt_matches_bfs_on_all_small_graphs():
                             got = apply_sequence(g, ta, dec.witness)
                             assert got.parent == kb
                             assert len(dec.witness) == d
-                            # one rotation is answered before the marking
-                            marked = compute_marking(g, ta, tb, k).marked if d == 1 else dec.marked
+                            # a YES at d = 1 or d = h0 is answered before
+                            # the marking
+                            marked = compute_marking(g, ta, tb, k).marked
                             assert all(u in marked and v in marked for u, v in dec.witness)
 
 
@@ -582,16 +590,17 @@ def _random_walk():
 # compute_marking), then the nodes expanded and bound cuts of
 # fpt_decide, and its lower bound.  The cuts must leave the witness as it
 # is.  Each NO here is certified by the lower bound before the marking,
-# so it searches nothing.
+# so it searches nothing, and each YES is at d = h0, answered by the one
+# search over the bad vertices before the marking.
 SEARCH_PINS = [
-    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 3, 7, 2),
+    (lambda: stacked_star(3000, [17, 1234]), 2, ((0, 17), (0, 1234)), 31, 0, 3, 1, 2),
     (lambda: stacked_star(3000, [17, 1234]), 1, None, 5, 0, 0, 0, 2),
     (lambda: stacked_star(3000, [5, 900, 2500]), 3,
-     ((0, 5), (0, 900), (0, 2500)), 315, 4, 4, 15, 3),
+     ((0, 5), (0, 900), (0, 2500)), 315, 4, 4, 3, 3),
     (lambda: stacked_star(3000, [5, 900, 2500]), 2, None, 50, 0, 0, 0, 3),
-    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 4, 48, 3),
+    (_path_walk, 3, ((40, 41), (41, 42), (42, 43)), 7854, 121, 4, 6, 3),
     (_path_walk, 2, None, 401, 0, 0, 0, 3),
-    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 3, 27, 2),
+    (_random_walk, 2, ((538, 815), (538, 940)), 265, 0, 3, 5, 2),
     (_random_walk, 1, None, 13, 0, 0, 0, 2),
 ]
 
@@ -614,10 +623,8 @@ def test_search_is_pinned(make, k, witness, plain_nodes, plain_memo_hits, nodes,
         (witness, {"nodes_expanded": nodes, "bound_cuts": bound_cuts})
     marked = compute_marking(g, t, t2, k).marked
     assert reference_search(g, t, t2, marked, k) == (witness, plain_nodes, plain_memo_hits)
-    if witness is None:
-        assert dec.ball is None and dec.table is None and dec.marked == frozenset()
-    else:
-        assert dec.marked == marked
+    assert dec.ball is None and dec.table is None and dec.marked == frozenset()
+    assert witness is None or all(u in marked and v in marked for u, v in witness)
 
 
 def _against_the_plain_search(family):
@@ -759,10 +766,12 @@ def test_the_search_may_remove_a_shared_tube():
     assert dec.yes and len(dec.witness) == 12
     assert apply_sequence(g, a, dec.witness) == b
     assert all(u in dec.marked and v in dec.marked for u, v in dec.witness)
-    assert dec.stats == {"nodes_expanded": 1_517_773, "bound_cuts": 1_514_195}
+    # the counts include the failed search at budget h0 = 5 over the bad
+    # vertices
+    assert dec.stats == {"nodes_expanded": 1_517_779, "bound_cuts": 1_514_201}
     dec = fpt_decide(g, a, b, 11)
     assert not dec.yes and dec.early_no is None and dec.lower_bound == 5
-    assert dec.stats == {"nodes_expanded": 250_697, "bound_cuts": 247_482}
+    assert dec.stats == {"nodes_expanded": 250_703, "bound_cuts": 247_488}
 
 
 def _h0(t, t2):
@@ -771,7 +780,7 @@ def _h0(t, t2):
 
 def _tube_bound_of(t, t2):
     """h0 as fpt_decide computes it."""
-    return _tube_bound(t, t2, _below_lca(t, classify_bad(t, t2)))
+    return _tube_bound(t, t2, _below_lca(t, classify_bad(t, t2)))[0]
 
 
 def test_the_tube_bound_counts_the_tubes_the_target_lacks():
@@ -826,8 +835,13 @@ def test_bound_certified_nos_skip_the_marking(monkeypatch):
         dec = fpt_decide(g, t, t2, k)
         assert not dec.yes and dec.early_no is None and dec.lower_bound > k
         assert dec.ball is None and dec.comps == [] and dec.table is None
+    # 43 lifted above 40 at k = 3: d = h0 = 3, but the witness rotates
+    # 41, which is not bad, so only the search over M answers it
+    g, t, _ = _path_walk()
+    t2 = apply_sequence(g, t, [(42, 43), (41, 43), (40, 43)])
+    assert 41 not in classify_bad(t, t2).bad
     with pytest.raises(AssertionError, match="the marking ran"):
-        fpt_decide(*_random_walk(), 2)
+        fpt_decide(g, t, t2, 3)
 
 
 def test_one_rotation_yeses_skip_the_marking(monkeypatch):
@@ -856,6 +870,30 @@ def test_one_rotation_yeses_skip_the_marking(monkeypatch):
     for g, t, t2, edge in cases:
         for k in (1, 2, 3):
             assert set(edge) <= compute_marking(g, t, t2, k).marked
+
+
+def test_h0_yeses_skip_the_marking(monkeypatch):
+    # a YES at d = h0 is answered by one search at budget h0 over the bad
+    # vertices, with no ball or types: h0 is at most the distance, so h0
+    # rotations are a shortest witness.  The M of compute_marking holds
+    # that witness
+    def fail(*args):
+        raise AssertionError("the marking ran")
+
+    pins = [(make(), k, witness) for make, k, witness, *_ in SEARCH_PINS if witness is not None]
+    assert len(pins) == 4
+    monkeypatch.setattr(fpt, "compute_bcb", fail)
+    monkeypatch.setattr(fpt, "compute_types", fail)
+    for (g, t, t2), k, witness in pins:
+        for kk in (k, k + 1):
+            dec = fpt_decide(g, t, t2, kk)
+            assert dec.yes and dec.witness == witness and dec.lower_bound == len(witness)
+            assert dec.ball is None and dec.comps == [] and dec.table is None
+            assert dec.marked == frozenset() and dec.early_no is None
+    monkeypatch.undo()
+    for (g, t, t2), k, witness in pins:
+        marked = compute_marking(g, t, t2, k).marked
+        assert all(u in marked and v in marked for u, v in witness)
 
 
 def test_every_dirty_component_holds_a_missing_tube():
@@ -927,7 +965,7 @@ def test_tube_index_is_exact():
         keep = set(sums)
         # every kept subtree outside below is a shared tube, so the search
         # starts from the h0 that fpt_decide counted over below alone
-        assert sum(s not in target for s in sums.values()) == _tube_bound(t, t2, below)
+        assert sum(s not in target for s in sums.values()) == _tube_bound(t, t2, below)[0]
         assert dec.marked <= keep and t.root in keep and t2.root in keep
         # keep splits into parts where untracked vertices lie between the
         # marked ones around the root and the bad ones deeper down
@@ -982,7 +1020,7 @@ def test_search_matches_restricted_bfs():
         t, t2 = random_tree(g, rng), random_tree(g, rng)
         k = rng.randrange(1, 4)
         dec = fpt_decide(g, t, t2, k)
-        # a NO certified before the marking and a YES one rotation away
+        # a NO certified before the marking and a YES at d = 1 or d = h0
         # have no M of their own
         marked = compute_marking(g, t, t2, k).marked if t != t2 else dec.marked
         d = restricted_bfs_distance(g, t, t2, marked, cap=k)
@@ -991,5 +1029,7 @@ def test_search_matches_restricted_bfs():
             continue
         assert dec.yes and len(dec.witness) == d
         assert apply_sequence(g, t, dec.witness) == t2
-        assert dec.marked == (marked if d > 1 else frozenset())
+        # a YES before the marking is one its lower bound certifies
+        assert dec.marked == (frozenset() if dec.ball is None else marked)
+        assert dec.ball is not None or len(dec.witness) == dec.lower_bound
         assert all(u in marked and v in marked for u, v in dec.witness)

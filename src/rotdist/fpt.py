@@ -19,8 +19,9 @@ subtree touches, built from its own G-neighbours, its component
 children's masks and one walk of each child subtree hanging outside
 the ball.
 
-Before any of this, the certificates of `fpt_decide` settle from the
-two parent vectors every answer that needs no marking: NO for too many
+Before any of this, the certificate ladder of `fpt_decide`, the only
+place a certificate is checked, settles from the two parent vectors
+every answer that needs no marking: NO for too many
 children-bad vertices, YES when t2 is one rotation of t, NO for too many
 tubes of t missing from t2, and YES when a search over the bad vertices
 finds exactly that many rotations.  An elimination tree is a maximal
@@ -28,7 +29,7 @@ tubing whose tubes are its non-root subtrees, and a rotation of (u, v)
 trades exactly one tube, the subtree of v, for one (Carr and Devadoss,
 Topology Appl. 2006), so each rotation lowers that count by at most one:
 it is at most the distance, and a sequence that long is shortest.  The
-marking runs only to give the search its set M.
+marking runs only to give the search its set M, and certifies nothing.
 
 The search is cut the same way, on every graph: a node where the count
 exceeds the budget left is a dead end (IDA*), and so is every rotation
@@ -205,41 +206,13 @@ def components(t: ElimTree, ball_vertices: Iterable[int]) -> list[Component]:
     return out
 
 
-def _count_certificate(report: BadnessReport, k: int) -> str | None:
-    """A single rotation changes at most three child sets, so more than
-    3k children-bad vertices rule out k rotations."""
+def check_early_no(report: BadnessReport, k: int) -> str | None:
+    """The count certificate: a single rotation changes at most three
+    child sets, so more than 3k children-bad vertices rule out k
+    rotations.  Returns its message, or None."""
     if len(report.children_bad) > 3 * k:
         return (f"{len(report.children_bad)} vertices with differing child sets "
                 f"exceed 3k={3 * k}")
-    return None
-
-
-def check_early_no(report: BadnessReport, comps: list[Component], k: int) -> str | None:
-    """Cheap certificates that the distance exceeds k, or None.
-
-    The count certificate first; then, since each component of the ball
-    holding a bad vertex needs at least one rotation of its own, more
-    than k such components also rule out k rotations.
-
-    The second one never fires in `fpt_decide`, which marks only when
-    h0, the number of tubes of t that t2 lacks, is at most k: each such
-    component holds a vertex whose subtree in t is no subtree of t2, so
-    there are at most h0 of them.  A children-bad x has one among itself,
-    its children and its grandchildren: were all their subtrees in t2,
-    no grandchild's subtree would hold the top in t2 of a child's
-    subtree, nor a child's that of x's, so each would keep its top and x
-    its children.  A parent-bad vertex hangs from a children-bad one,
-    except the root of t, whose child holding the root of t2 has a
-    subtree t2 lacks.  Each of these lies within distance 2 of a seed of
-    the ball, whose radius is at least 3, so in the same component.
-    """
-    early = _count_certificate(report, k)
-    if early is not None:
-        return early
-    bad = report.bad
-    dirty = sum(1 for z in comps if not bad.isdisjoint(z.vertices))
-    if dirty > k:
-        return f"{dirty} ball components contain differing vertices, more than k={k}"
     return None
 
 
@@ -387,19 +360,15 @@ def compute_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int,
     """Run the classification pipeline, stopping before the search.
 
     `report` is `classify_bad(t, t2)`, computed here unless the caller
-    has it.  Returns a Decision with no verdict yet.  When an early NO
-    certificate fires it holds the report, ball and components and names
-    the certificate in `early_no`; otherwise it also holds the type
-    table and the marked sets.
+    has it.  Returns a Decision with no verdict yet, holding the report,
+    ball, components, type table and marked sets.  It checks no
+    certificate: that is `fpt_decide`'s ladder, before the marking.
     """
     if report is None:
         report = classify_bad(t, t2)
     bcb = compute_bcb(t, report, k)
     comps = components(t, bcb.vertices)
-    dec = Decision(k=k, n=g.n, report=report, ball=bcb, comps=comps,
-                   early_no=check_early_no(report, comps, k))
-    if dec.early_no is not None:
-        return dec
+    dec = Decision(k=k, n=g.n, report=report, ball=bcb, comps=comps)
     table = TypeTable()
     premarked: set[int] = set()
     marked: set[int] = set()
@@ -422,10 +391,11 @@ class Decision:
 
     compute_marking fills the pipeline fields, from `report` to
     `marked_per_component`; fpt_decide and its search set `yes` and
-    `witness`.  A decision settled before the marking has at most the
-    report of them.  `lower_bound` is the least distance the
-    certificates before the marking prove (see fpt_decide); it is never
-    above the distance.
+    `witness`.  A decision settled by fpt_decide's certificate ladder
+    has at most the report of them; `early_no` names the NO of the
+    count certificate or of k = 0.  `lower_bound` is the least
+    distance the ladder proves (see fpt_decide); it is never above the
+    distance.
     """
 
     k: int
@@ -504,31 +474,38 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     here).  The verdict is exact; YES comes with a shortest rotation
     sequence.
 
-    After `classify_bad`, four certificates run before the marking, in
-    this order, and set `lower_bound`:
+    After `classify_bad`, a ladder of four certificates runs before the
+    marking, in this order, and sets `lower_bound`; it is the only place
+    a certificate is checked:
 
-    1. The count certificate: more than 3k children-bad vertices is NO,
-       named in `early_no`, with the bound ceil(|children-bad| / 3).
+    1. The count certificate (`check_early_no`): more than 3k
+       children-bad vertices is NO, named in `early_no`, with the bound
+       ceil(|children-bad| / 3).
     2. The one-rotation test (`_one_rotation`): when t2 is one rotation
        (u, v) of t, the only YES at k = 1, the answer is YES with that
        witness and the bound 1.  u and v are children-bad, and `mark`
        puts every children-bad vertex into M, so the witness lies in M.
-    3. Otherwise the bound is max(2, h0), where h0 (`_tube_bound`) counts
-       the tubes of t that t2 lacks; each rotation trades one tube, so
-       h0 is at most the distance.  At k = 1 the bound is 2 and h0 is
-       not computed.  A bound above k is NO, with `early_no` None.
-    4. When h0 >= 2, one pass of `_search` at budget h0 rotates only bad
-       vertices, on the index the bound was counted on.  A sequence of
-       h0 rotations that reaches t2 is shortest, since h0 is at most the
-       distance, so if the pass finds one the answer is YES with it and
-       the bound h0.  Otherwise the pass proves nothing, since a shortest
-       sequence may rotate a vertex that is not bad.
+    3. Otherwise the bound is h0 (`_tube_bound`), the number of tubes of
+       t that t2 lacks; each rotation trades one tube, so h0 is at most
+       the distance.  Two maximal tubings that share all but one tube
+       are the two ends of an edge of the graph associahedron, one
+       rotation apart, and the test above is exact, so h0 >= 2 here.  At
+       k = 1 the bound is 2 and h0 is not computed.  A bound above k is
+       NO, with `early_no` None.
+    4. One pass of `_search` at budget h0 rotates only bad vertices, on
+       the index the bound was counted on.  A sequence of h0 rotations
+       that reaches t2 is shortest, since h0 is at most the distance, so
+       if the pass finds one the answer is YES with it and the bound h0.
+       Otherwise the pass proves nothing, since a shortest sequence may
+       rotate a vertex that is not bad.
 
     None of these builds a ball, types or marks.  Otherwise the paper's
-    pipeline (`compute_marking`) gives the search its marked set M; its
-    component certificate cannot fire there (see `check_early_no`).  The
-    witness is then the first shortest sequence of `_search` inside M,
-    whose deepening starts at the bound; its counters add to the pass's.
+    pipeline (`compute_marking`) gives the search its marked set M.  A
+    certificate of more than k ball components holding a bad vertex
+    would never fire there: each such component holds a tube that t2
+    lacks, so there are at most h0 <= k of them.  The witness is then
+    the first shortest sequence of `_search` inside M, whose deepening
+    starts at h0; its counters add to the pass's.
     """
     if t.n != g.n or t2.n != g.n:
         raise InvalidParameter("graph and trees disagree on the vertex count")
@@ -542,7 +519,7 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
         return Decision(k=k, n=g.n, lower_bound=1,
                         early_no="trees differ and k=0 allows no rotations")
     report = classify_bad(t, t2)
-    early_no = _count_certificate(report, k)
+    early_no = check_early_no(report, k)
     if early_no is not None:
         return Decision(k=k, n=g.n, report=report, early_no=early_no,
                         lower_bound=-(-len(report.children_bad) // 3))
@@ -553,15 +530,14 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
         return Decision(k=k, n=g.n, report=report, lower_bound=2)
     below = _below_lca(t, report)
     h0, index = _tube_bound(t, t2, below)
-    bound = max(2, h0)
-    dec = Decision(k=k, n=g.n, report=report, lower_bound=bound)
-    if bound > k:
+    dec = Decision(k=k, n=g.n, report=report, lower_bound=h0)
+    if h0 > k:
         return dec
-    if h0 >= 2 and _search(g, t, t2, dec, report.bad, index, h0, h0):
+    if _search(g, t, t2, dec, report.bad, index, h0, h0):
         return dec
     stats = dec.stats
     dec = compute_marking(g, t, t2, k, report)
-    dec.lower_bound, dec.stats = bound, stats
+    dec.lower_bound, dec.stats = h0, stats
     _search(g, t, t2, dec, dec.marked, _tube_index(t, t2, below | dec.marked), h0, k)
     return dec
 

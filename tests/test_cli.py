@@ -172,11 +172,49 @@ def test_rotate_bad_edge(p3, capsys):
     rc = main(["rotate", "-g", p3["graph"], "-s", p3["chain"], "-e", "2->0"])
     assert rc == 2
     capsys.readouterr()
+    assert main(["rotate", "-g", p3["graph"], "-s", p3["chain"], "-e", "3-4"]) == 2
+    assert capsys.readouterr().err == "error: INVALID_INPUT: bad edge '3-4', expected U->V\n"
 
 
 def test_rotate_needs_edges(p3, capsys):
     assert main(["rotate", "-g", p3["graph"], "-s", p3["chain"]]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def p5(tmp_path):
+    g = generate("path", 5)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("graph", "chain", "rev")}
+    save_graph(g, paths["graph"])
+    save_tree(from_ordering(g, [0, 1, 2, 3, 4]), paths["chain"])
+    save_tree(from_ordering(g, [4, 3, 2, 1, 0]), paths["rev"])
+    return paths
+
+
+def test_rotate_replays_the_witness_before_the_edges(p5, tmp_path, capsys):
+    wpath = str(tmp_path / "w.json")
+    assert main(["distance", "-g", p5["graph"], "-s", p5["chain"], "-t", p5["rev"],
+                 "-k", "4", "--witness-out", wpath]) == 0
+    capsys.readouterr()
+    rc = main(["rotate", "-g", p5["graph"], "-s", p5["chain"], "--replay", wpath])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["parent"] == [1, 2, 3, 4, -1]
+    # the four witness rotations reverse the chain, so 0->1 is no tree
+    # edge after them: it fails as the fifth step
+    rc = main(["rotate", "-g", p5["graph"], "-s", p5["chain"], "--replay", wpath,
+               "-e", "0->1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: INVALID_INPUT: step 5: (0,1) is not a tree edge\n"
+
+
+def test_distance_bfs_explain_on_a_no(p5, capsys):
+    rc = main(["distance", "-g", p5["graph"], "-s", p5["chain"], "-t", p5["rev"],
+               "-k", "3", "--method", "bfs", "--explain"])
+    assert rc == 1
+    d = json.loads(capsys.readouterr().out)
+    assert sorted(d) == ["method", "time_ms", "verdict", "witness"]
+    assert (d["verdict"], d["witness"], d["method"]) == ("NO", None, "bfs")
+    assert d["time_ms"] >= 0
 
 
 def test_enumerate_with_exports(p3, tmp_path, capsys):
@@ -281,7 +319,8 @@ def test_distance_negative_k_is_invalid_under_every_method(p3, method, capsys):
 
 
 @pytest.mark.parametrize("args", [["--sizes", "1"], ["--sizes", "10,1"], ["--sizes", "0"],
-                                  ["--sizes", "x"], ["--sizes", "10", "--reps", "0"]])
+                                  ["--sizes", "x"], ["--sizes", "10", "--reps", "0"],
+                                  ["--sizes", ","]])
 def test_bench_rejects_bad_arguments(args, capsys):
     rc = main(["bench", "--family", "path", "-k", "1"] + args)
     assert rc == 2

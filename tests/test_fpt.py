@@ -149,14 +149,12 @@ def test_components_split_and_order():
 
 
 def test_check_early_no():
-    g = generate("path", 20)
-    t = from_ordering(g, list(range(20)))
-    comps = components(t, [0, 1, 5, 6, 10, 11])
+    # the count certificate: more than 3k children-bad vertices
     many_bad = BadnessReport(frozenset({1, 2, 3, 4}), frozenset())
-    assert "exceed" in check_early_no(many_bad, comps, 1)
-    spread = BadnessReport(frozenset({5}), frozenset({10}))
-    assert "components" in check_early_no(spread, comps, 1)
-    assert check_early_no(spread, comps, 2) is None
+    assert check_early_no(many_bad, 1) == "4 vertices with differing child sets exceed 3k=3"
+    assert check_early_no(many_bad, 2) is None
+    three = BadnessReport(frozenset({1, 5, 10}), frozenset({2, 6, 11}))
+    assert check_early_no(three, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +435,20 @@ def test_decide_early_no_on_far_apart_changes():
     assert dec.early_no and "exceed" in dec.early_no
 
 
-def test_compute_marking_reports_early_no():
+def test_compute_marking_only_marks():
+    # the pair fpt_decide certifies NO by the count at k = 1: the marking
+    # checks no certificate and always fills the table and the marks
     g = generate("path", 30)
     t = from_ordering(g, list(range(30)))
     t2 = apply_sequence(g, t, [(5, 6), (20, 21)])
+    assert check_early_no(classify_bad(t, t2), 1) is not None
     dec = compute_marking(g, t, t2, 1)
-    assert dec.early_no is not None
+    assert dec.early_no is None
     assert not dec.yes and dec.witness is None
-    assert dec.table is None
-    assert dec.premarked == dec.marked == frozenset() and dec.marked_per_component == {}
-    assert dec.report.children_bad
-    assert dec.comps
+    assert len(dec.table) == 19 and set(dec.table.vertex_types) == dec.ball.vertices
+    # on a path no two siblings share a type, so the whole ball is marked
+    assert dec.premarked == dec.marked == dec.ball.vertices
+    assert dec.marked_per_component == {0: frozenset(range(10)), 16: frozenset(range(16, 25))}
 
 
 def test_compute_marking_leaves_the_verdict_to_the_search():
@@ -667,7 +668,7 @@ def test_the_bound_cuts_only_dead_branches():
         assert len(stats) >= 600 and sum(s["bound_cuts"] > 0 for s in stats) > 100, family
 
 
-def test_the_face_rule_cuts_only_dead_branches():
+def test_path_witnesses_never_remove_a_target_tube():
     # on a path a geodesic never leaves the face of a tube its ends share
     # (Sleator, Tarjan and Thurston), so a face rule, skipping the
     # rotations that remove a tube of the target, would leave the first
@@ -697,7 +698,7 @@ def test_the_face_rule_cuts_only_dead_branches():
 
 def test_the_tube_bound_is_at_most_the_distance():
     # each rotation trades one tube for one, so a tree lacks at most d of
-    # the tubes of a tree d rotations away
+    # the tubes of a tree d rotations away, and exactly one at d = 1
     pairs = tight = 0
     for n in range(1, 6):
         for g in connected_graphs(n):
@@ -707,6 +708,11 @@ def test_the_tube_bound_is_at_most_the_distance():
                 for kb, d in fg.distances_from(ka).items():
                     h = len(tubings[ka] - tubings[kb])
                     assert h <= d, (g.edges(), ka, kb)
+                    # an (n - 2)-tubing, all tubes of a tree but one, is an
+                    # edge of the graph associahedron, so trees that differ
+                    # in one tube are one rotation apart: fpt_decide's
+                    # bound is h0 once its one-rotation test has failed
+                    assert (h == 1) == (d == 1), (g.edges(), ka, kb)
                     pairs += 1
                     tight += h == d
     assert pairs == sum(len(enumerate_all(g)) ** 2
@@ -714,11 +720,12 @@ def test_the_tube_bound_is_at_most_the_distance():
     assert 0 < tight < pairs
 
 
-def test_geodesics_never_remove_a_shared_tube():
+def test_geodesics_keep_shared_tubes_on_the_listed_graphs():
     # the non-leaving-face property: a rotation on a shortest path from a
     # to b never removes a tube that a and b share; every ordered pair
     # with n <= 5, two seeded graphs with n = 6, and the paths with n = 6
-    # and 7; the search uses no such face rule and cuts by the tube
+    # and 7.  It does not hold on every graph (the star K_{1,5} below
+    # breaks it), so the search uses no face rule and cuts by the tube
     # bound alone
     graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
     graphs += [generate("random_connected", 6, seed=seed, p=0.35) for seed in (0, 1)]
@@ -899,9 +906,18 @@ def test_h0_yeses_skip_the_marking(monkeypatch):
 def test_every_dirty_component_holds_a_missing_tube():
     # every ball component holding a bad vertex holds a vertex whose
     # subtree in t is no subtree of t2, so at most h0 components are
-    # dirty, and the component certificate cannot fire once the tube
-    # bound has let the marking run (check_early_no): every pair with
-    # n <= 4, then random pairs with n <= 60 at k = 1, ..., 5
+    # dirty, and a component certificate (more than k dirty components)
+    # cannot fire once the tube bound h0 <= k has let the marking run.
+    # Why: a children-bad x has such a vertex among itself, its children
+    # and its grandchildren.  Were all their subtrees in t2, no
+    # grandchild's subtree would hold the top in t2 of a child's subtree,
+    # nor a child's that of x's, so each would keep its top and x its
+    # children.  A parent-bad vertex hangs from a children-bad one,
+    # except the root of t, whose child holding the root of t2 has a
+    # subtree t2 lacks.  Each of these lies within distance 2 of a seed
+    # of the ball, whose radius is at least 3, so in the same component.
+    # Checked on every pair with n <= 4, then random pairs with n <= 60
+    # at k = 1, ..., 5
     def dirty_components(g, t, t2, k):
         report = classify_bad(t, t2)
         of_t2 = tubes(t2.parent)
@@ -957,9 +973,9 @@ def test_tube_index_is_exact():
         k = rng.randrange(1, 4)
         for _ in range(rng.randrange(1, k + 1)):
             t2 = rotate(g, t2, random_tree_edge(t2, rng))
-        dec = compute_marking(g, t, t2, k)
-        if dec.early_no is not None or t == t2:
+        if t == t2:
             continue
+        dec = compute_marking(g, t, t2, k)
         below = _below_lca(t, dec.report)
         sums, target, atom = _tube_index(t, t2, below | dec.marked)
         keep = set(sums)

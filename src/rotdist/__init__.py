@@ -30,9 +30,7 @@ from .flip import (
     bfs_witness,
     diameter,
     enumerate_all,
-    enumerate_orderings,
     neighbors,
-    restricted_bfs_distance,
 )
 from .fpt import (
     SAME,

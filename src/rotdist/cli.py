@@ -69,12 +69,6 @@ def _load_witness(path: str) -> list[tuple[int, int]]:
     return [(u, v) for u, v in edges]
 
 
-def _save_witness(seq, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"edges": [list(e) for e in seq]}, fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_validate(args) -> int:
     g = _load_connected_graph(args.graph)
     rc = 0
@@ -133,34 +127,30 @@ def cmd_distance(args) -> int:
         method = "bfs" if g.n <= 8 else "fpt"
     t0 = time.perf_counter()
     if method == "bfs":
+        # no search over M ran; a NO proves the distance above k
         dist, seq = flip.bfs_witness(g, src, dst, cap=args.k)
         yes = dist is not flip.OVER_CAP
-        witness = tuple(seq) if yes else None
-        dec = None
+        dec = fpt.Decision(k=args.k, n=g.n, yes=yes, witness=tuple(seq) if yes else None,
+                           lower_bound=dist if yes else args.k + 1, stats={})
     else:
         dec = fpt.fpt_decide(g, src, dst, args.k)
-        yes, witness = dec.yes, dec.witness
     ms = (time.perf_counter() - t0) * 1000.0
 
-    if args.witness_out and yes:
-        _save_witness(witness, args.witness_out)
+    if args.witness_out and dec.yes:
+        graphs.write_json({"edges": [list(e) for e in dec.witness]}, args.witness_out)
     if args.explain:
-        if dec is not None:
-            dump = dec.to_json_dict()
-        else:
-            dump = {"verdict": "YES" if yes else "NO",
-                    "witness": [list(e) for e in witness] if witness is not None else None}
+        dump = dec.to_json_dict()
         dump["method"] = method
         dump["time_ms"] = round(ms, 3)
         print(json.dumps(dump, indent=2))
     else:
-        print(f"verdict: {'YES' if yes else 'NO'}")
-        if yes:
-            print(f"length: {len(witness)}")
-            print(f"witness: {_format_witness(witness)}")
+        print(f"verdict: {'YES' if dec.yes else 'NO'}")
+        if dec.yes:
+            print(f"length: {len(dec.witness)}")
+            print(f"witness: {_format_witness(dec.witness)}")
         print(f"method: {method}")
         print(f"time_ms: {ms:.3f}")
-    return 0 if yes else 1
+    return 0 if dec.yes else 1
 
 
 def cmd_enumerate(args) -> int:

@@ -15,7 +15,6 @@ builds a tree in one back-to-front pass over the order.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     InvalidVertex,
     NotATreeEdge,
 )
-from .graphs import Graph, is_connected, read_json
+from .graphs import Graph, is_connected, read_json, write_json
 
 ROOT = -1
 
@@ -472,6 +471,4 @@ def load_tree(path: str) -> ElimTree:
 
 
 def save_tree(t: ElimTree, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(t), fh, indent=2)
-        fh.write("\n")
+    write_json(to_json_dict(t), path)

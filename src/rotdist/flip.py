@@ -7,13 +7,9 @@ instances, so vertex-count caps guard each entry point.
 
 from __future__ import annotations
 
-import itertools
-import json
-from typing import Iterable
-
 from .elimtree import ElimTree, RotationEdge, from_ordering, rotate
 from .errors import InstanceTooLarge
-from .graphs import Graph
+from .graphs import Graph, write_json
 
 TreeKey = tuple[int, ...]
 
@@ -34,15 +30,9 @@ class _OverCap:
 OVER_CAP = _OverCap()
 
 
-def neighbors(g: Graph, t: ElimTree, allowed: frozenset[int] | None = None
-              ) -> list[tuple[RotationEdge, ElimTree]]:
-    """All single-rotation successors, ordered by rotated child vertex;
-    with `allowed`, only those whose edge has both ends in it."""
-    out = []
-    for v, u in enumerate(t.parent):
-        if u >= 0 and (allowed is None or (u in allowed and v in allowed)):
-            out.append(((u, v), rotate(g, t, (u, v))))
-    return out
+def neighbors(g: Graph, t: ElimTree) -> list[tuple[RotationEdge, ElimTree]]:
+    """All single-rotation successors, ordered by rotated child vertex."""
+    return [((u, v), rotate(g, t, (u, v))) for v, u in enumerate(t.parent) if u >= 0]
 
 
 class FlipGraph:
@@ -107,23 +97,11 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> FlipGraph:
     return FlipGraph(g, trees, adj)
 
 
-def enumerate_orderings(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> set[TreeKey]:
-    """Distinct trees over all n! elimination orderings.
-
-    Independent of the rotation machinery; kept as a cross-check oracle
-    for enumerate_all.
-    """
-    if g.n > cap:
-        raise InstanceTooLarge(f"refusing {g.n}! orderings with n={g.n} > cap={cap}")
-    return {from_ordering(g, perm).parent for perm in itertools.permutations(range(g.n))}
-
-
-def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
-         allowed: frozenset[int] | None):
+def bfs_witness(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
     """(distance, shortest rotation sequence) from t to t2 over
-    `neighbors`, or (OVER_CAP, None).  `pred` maps each tree reached to
-    its predecessor and rotation (None at t), and the search stops after
-    the node whose neighbours reach t2."""
+    `neighbors`, or (OVER_CAP, None) if above the given cap.  `pred` maps
+    each tree reached to its predecessor and rotation (None at t), and
+    the search stops after the node whose neighbours reach t2."""
     if t.n > BFS_CAP_REQUIRED_ABOVE and cap is None:
         raise InstanceTooLarge(
             f"n={t.n} > {BFS_CAP_REQUIRED_ABOVE}: bfs search requires an explicit cap")
@@ -138,7 +116,7 @@ def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
         nxt = []
         for cur in frontier:
             key = cur.parent
-            for edge, t3 in neighbors(g, cur, allowed):
+            for edge, t3 in neighbors(g, cur):
                 k3 = t3.parent
                 if k3 not in pred:
                     pred[k3] = (key, edge)
@@ -158,21 +136,7 @@ def _bfs(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None,
 
 def bfs_distance(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
     """Exact rotation distance, or OVER_CAP if above the given cap."""
-    return _bfs(g, t, t2, cap, None)[0]
-
-
-def bfs_witness(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
-    """(distance, shortest rotation sequence), or (OVER_CAP, None)."""
-    return _bfs(g, t, t2, cap, None)
-
-
-def restricted_bfs_distance(g: Graph, t: ElimTree, t2: ElimTree,
-                            allowed: Iterable[int], cap: int | None = None):
-    """Shortest sequence whose every rotated edge stays inside `allowed`.
-
-    OVER_CAP when no such sequence exists within the cap (or at all).
-    """
-    return _bfs(g, t, t2, cap, frozenset(allowed))[0]
+    return bfs_witness(g, t, t2, cap)[0]
 
 
 def diameter(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -218,9 +182,7 @@ def to_json_dict(fg: FlipGraph) -> dict:
 
 
 def save_json(fg: FlipGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(fg), fh, indent=2)
-        fh.write("\n")
+    write_json(to_json_dict(fg), path)
 
 
 def save_dot(fg: FlipGraph, path: str) -> None:

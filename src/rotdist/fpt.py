@@ -533,12 +533,12 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     dec = Decision(k=k, n=g.n, report=report, lower_bound=h0)
     if h0 > k:
         return dec
-    if _search(g, t, t2, dec, report.bad, index, h0, h0):
+    if _search(g, t, dec, report.bad, index, h0, h0):
         return dec
     stats = dec.stats
     dec = compute_marking(g, t, t2, k, report)
     dec.lower_bound, dec.stats = h0, stats
-    _search(g, t, t2, dec, dec.marked, _tube_index(t, t2, below | dec.marked), h0, k)
+    _search(g, t, dec, dec.marked, _tube_index(t, t2, below | dec.marked), h0, k)
     return dec
 
 
@@ -690,14 +690,14 @@ def _run(p: int, c: int, bits: int) -> int:
     return (s2 << 2 * bits) + (s1 << bits) + c
 
 
-def _search(g: Graph, t: ElimTree, t2: ElimTree, dec: Decision, movable: frozenset[int],
+def _search(g: Graph, t: ElimTree, dec: Decision, movable: frozenset[int],
             index, h0: int, last: int) -> bool:
     """Iterative-deepening search over rotations with both ends in
     movable, cut by the tube lower bound, at budgets `dec.lower_bound`
     to last; on success it sets `dec.yes` and a shortest `dec.witness`
     and returns True.  Its counters add to `dec.stats`.
 
-    index is a `_tube_index` whose kept vertices hold movable and
+    index is the `_tube_index` of t against t2, kept over movable and
     `_below_lca`, and h0 the `_tube_bound` fpt_decide counted; fpt_decide
     has ruled out one rotation, so the deepening starts at 2 or more.
     The search walks one mutable copy of t, applying each rotation in

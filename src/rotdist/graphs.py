@@ -218,6 +218,13 @@ def read_json(path: str):
             raise InvalidParameter(f"{path} nests too deeply to read as JSON") from None
 
 
+def write_json(obj, path: str) -> None:
+    """Write obj to the file at path as indented JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def load_graph(path: str) -> Graph:
     """The graph in the JSON file at path; errors name the path."""
     d = read_json(path)
@@ -228,6 +235,4 @@ def load_graph(path: str) -> Graph:
 
 
 def save_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(g), fh, indent=2)
-        fh.write("\n")
+    write_json(to_json_dict(g), path)

@@ -6,6 +6,7 @@ import itertools
 import random
 
 from rotdist import (
+    OVER_CAP,
     ROOT,
     BadnessReport,
     ElimTree,
@@ -18,6 +19,7 @@ from rotdist import (
     from_ordering,
     generate,
     is_connected,
+    neighbors,
     rotate,
     want_parent,
 )
@@ -103,6 +105,39 @@ def tubes(parent) -> frozenset[frozenset[int]]:
             below[u].add(v)
             u = parent[u]
     return frozenset(frozenset(s) for v, s in enumerate(below) if parent[v] != -1)
+
+
+def enumerate_orderings(g: Graph) -> set[tuple[int, ...]]:
+    """The distinct trees over all n! elimination orderings: every
+    elimination tree of g, found without any rotation."""
+    return {from_ordering(g, perm).parent for perm in itertools.permutations(range(g.n))}
+
+
+def restricted_bfs_distance(g: Graph, t: ElimTree, t2: ElimTree, allowed, cap=None):
+    """The length of a shortest rotation sequence from t to t2 whose every
+    rotated edge has both ends in `allowed`, or OVER_CAP when there is
+    none within the cap (or at all).  A breadth-first search of its own
+    over `neighbors`, apart from the one in `rotdist.flip`."""
+    allowed = frozenset(allowed)
+    target = t2.parent
+    if t.parent == target:
+        return 0
+    seen = {t.parent}
+    frontier = [t]
+    depth = 0
+    while frontier and (cap is None or depth < cap):
+        depth += 1
+        nxt = []
+        for cur in frontier:
+            for (u, v), t3 in neighbors(g, cur):
+                key = t3.parent
+                if u in allowed and v in allowed and key not in seen:
+                    if key == target:
+                        return depth
+                    seen.add(key)
+                    nxt.append(t3)
+        frontier = nxt
+    return OVER_CAP
 
 
 def reference_search(g: Graph, t: ElimTree, t2: ElimTree, marked, k: int):

@@ -15,9 +15,11 @@ import pytest
 from helpers import (
     CONNECTED_COUNTS,
     connected_graphs,
+    enumerate_orderings,
     inversions_between,
     random_tree,
     random_tree_edge,
+    restricted_bfs_distance,
     tree_distance_matrix,
     tubes,
 )
@@ -28,11 +30,9 @@ from rotdist import (
     compute_bcb,
     compute_marking,
     enumerate_all,
-    enumerate_orderings,
     fpt_decide,
     from_ordering,
     generate,
-    restricted_bfs_distance,
     rotate,
 )
 from rotdist.fpt import _below_lca, _tube_bound

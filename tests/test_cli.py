@@ -41,6 +41,11 @@ def test_gen_to_stdout(capsys):
     assert d["n"] == 4 and len(d["edges"]) == 3
 
 
+def test_gen_rejects_zero_vertices(capsys):
+    assert main(["gen", "--family", "path", "-n", "0"]) == 2
+    assert capsys.readouterr().err == "error: INVALID_INPUT: n must be positive, got 0\n"
+
+
 def test_validate_rejects_bad_tree(tmp_path, capsys):
     gpath, tpath = str(tmp_path / "g.json"), str(tmp_path / "t.json")
     save_graph(generate("path", 3), gpath)
@@ -207,14 +212,37 @@ def test_rotate_replays_the_witness_before_the_edges(p5, tmp_path, capsys):
     assert capsys.readouterr().err == "error: INVALID_INPUT: step 5: (0,1) is not a tree edge\n"
 
 
-def test_distance_bfs_explain_on_a_no(p5, capsys):
+def _explain(p5, k, method, capsys):
     rc = main(["distance", "-g", p5["graph"], "-s", p5["chain"], "-t", p5["rev"],
-               "-k", "3", "--method", "bfs", "--explain"])
+               "-k", str(k), "--method", method, "--explain"])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_distance_bfs_explain_on_a_no(p5, capsys):
+    # the BFS proves d > k on a NO, and runs no search over M; the rest
+    # of the pipeline fields are empty
+    rc, d = _explain(p5, 3, "bfs", capsys)
     assert rc == 1
-    d = json.loads(capsys.readouterr().out)
-    assert sorted(d) == ["method", "time_ms", "verdict", "witness"]
-    assert (d["verdict"], d["witness"], d["method"]) == ("NO", None, "bfs")
-    assert d["time_ms"] >= 0
+    assert d.pop("time_ms") >= 0
+    assert d == {
+        "n": 5, "k": 3, "verdict": "NO", "witness": None,
+        "children_bad": [], "parent_bad": [], "early_no": None,
+        "lower_bound": 4, "ball_radius": None, "ball": [], "components": [],
+        "vertex_types": {}, "type_count": 0, "premarked": [], "marked": [],
+        "marked_per_component": {}, "search": {}, "method": "bfs",
+    }
+
+
+def test_distance_explain_has_one_schema(p5, capsys):
+    # d = 4 on P5 reversed: a YES at k = 4 and a NO at k = 3
+    for k, rc_want in ((4, 0), (3, 1)):
+        rc_bfs, bfs = _explain(p5, k, "bfs", capsys)
+        rc_fpt, fpt = _explain(p5, k, "fpt", capsys)
+        assert rc_bfs == rc_fpt == rc_want
+        assert sorted(bfs) == sorted(fpt)
+        assert bfs["verdict"] == fpt["verdict"]
+        # the distance on YES, k + 1 on NO
+        assert bfs["lower_bound"] == 4
 
 
 def test_enumerate_with_exports(p3, tmp_path, capsys):

@@ -4,7 +4,14 @@ from collections import deque
 
 import pytest
 
-from helpers import connected_graphs, inversions_between, random_tree, tubes
+from helpers import (
+    connected_graphs,
+    enumerate_orderings,
+    inversions_between,
+    random_tree,
+    restricted_bfs_distance,
+    tubes,
+)
 from rotdist import (
     OVER_CAP,
     InstanceTooLarge,
@@ -12,13 +19,11 @@ from rotdist import (
     bfs_witness,
     diameter,
     enumerate_all,
-    enumerate_orderings,
     apply_sequence,
     from_ordering,
     from_parent_vector,
     generate,
     neighbors,
-    restricted_bfs_distance,
 )
 from rotdist.flip import FlipGraph, to_dot, to_json_dict
 
@@ -36,19 +41,6 @@ def test_neighbors_of_a_chain():
     assert [e for e, _ in nbrs] == [(0, 1), (1, 2)]
     assert nbrs[0][1].parent == (1, -1, 1)
     assert nbrs[1][1].parent == (-1, 2, 0)
-
-
-def test_neighbors_inside_allowed_are_the_filtered_neighbors():
-    for n in range(1, 5):
-        for g in connected_graphs(n):
-            subsets = [frozenset(s) for r in range(n + 1)
-                       for s in itertools.combinations(range(n), r)]
-            for key, t in enumerate_all(g).trees.items():
-                every = neighbors(g, t)
-                for allowed in subsets:
-                    inside = [(e, t2) for e, t2 in every
-                              if e[0] in allowed and e[1] in allowed]
-                    assert neighbors(g, t, allowed) == inside, (g.edges(), key, allowed)
 
 
 def test_neighbors_single_vertex():
@@ -98,8 +90,6 @@ def test_enumerate_cap():
     g = generate("path", 11)
     with pytest.raises(InstanceTooLarge):
         enumerate_all(g)
-    with pytest.raises(InstanceTooLarge):
-        enumerate_orderings(generate("path", 9), cap=8)
     assert len(enumerate_all(generate("path", 6), cap=6)) == 132
 
 

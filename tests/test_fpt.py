@@ -13,8 +13,10 @@ from helpers import (
     reference_badness,
     reference_marking,
     reference_search,
+    restricted_bfs_distance,
     stacked_star,
     trace_of,
+    tree_distance_matrix,
     tubes,
     type_of,
 )
@@ -44,7 +46,6 @@ from rotdist import (
     is_connected,
     mark,
     premark,
-    restricted_bfs_distance,
     rotate,
     want_parent,
 )
@@ -497,6 +498,28 @@ def test_decision_dump_structure():
     assert d["search"] == {"nodes_expanded": 3, "bound_cuts": 1}
 
 
+def test_component_diameter_is_the_longest_path():
+    # a dumped component's diameter is its longest path; the components
+    # here branch, so the two tallest children of a vertex are joined
+    g = Graph(4, [(0, 1), (1, 3), (0, 2)])  # the path 3-1-0-2
+    t = from_ordering(g, [0, 1, 3, 2])       # 0 at the root over 1 -> 3 and 2
+    d = compute_marking(g, t, rotate(g, t, (0, 2)), 1).to_json_dict()
+    assert d["components"] == [{"zroot": 0, "vertices": [0, 1, 2, 3], "diameter": 3}]
+    rng = random.Random(21)
+    branching = 0
+    for trial in range(200):
+        g = generate("random_connected", rng.randrange(5, 13), seed=trial, p=0.3)
+        t = random_tree(g, rng)
+        t2 = rotate(g, t, random_tree_edge(t, rng))
+        dec = compute_marking(g, t, t2, rng.randrange(1, 3))
+        dist = tree_distance_matrix(t)
+        for z, c in zip(dec.comps, dec.to_json_dict()["components"]):
+            vs = c["vertices"]
+            assert c["diameter"] == max(dist[a][b] for a in vs for b in vs)
+            branching += any(len(kids) >= 2 for kids in z.kids.values())
+    assert branching > 50
+
+
 def test_stats_present_on_no():
     # a NO from the bound has every counter, at 0; a searched NO counts
     # its nodes
@@ -511,29 +534,6 @@ def test_stats_present_on_no():
 
 # ---------------------------------------------------------------------------
 # agreement with the exhaustive oracle
-
-def test_fpt_matches_bfs_on_all_small_graphs():
-    for n in range(1, 5):
-        for g in connected_graphs(n):
-            fg = enumerate_all(g)
-            keys = fg.nodes()
-            dist = {k: fg.distances_from(k) for k in keys}
-            for ka in keys:
-                for kb in keys:
-                    d = dist[ka][kb]
-                    for k in (1, 2, 3):
-                        ta, tb = fg.trees[ka], fg.trees[kb]
-                        dec = fpt_decide(g, ta, tb, k)
-                        assert dec.yes == (d <= k), (g.edges(), ka, kb, k, d)
-                        if dec.yes:
-                            got = apply_sequence(g, ta, dec.witness)
-                            assert got.parent == kb
-                            assert len(dec.witness) == d
-                            # a YES at d = 1 or d = h0 is answered before
-                            # the marking
-                            marked = compute_marking(g, ta, tb, k).marked
-                            assert all(u in marked and v in marked for u, v in dec.witness)
-
 
 def test_optimal_witnesses_touch_few_sibling_subtrees():
     rng = random.Random(13)

@@ -47,6 +47,11 @@ def test_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(InvalidParameter):
         Graph(0, [])
+    g = generate("path", 3)
+    with pytest.raises(InvalidVertex, match="vertex 5 out of range for n=3"):
+        g.neighbors(5)
+    with pytest.raises(InvalidVertex, match="vertex 5 out of range for n=3"):
+        g.has_edge(0, 5)
 
 
 def test_is_connected():

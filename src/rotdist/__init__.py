@@ -24,7 +24,6 @@ from .errors import (
     SelfLoop,
 )
 from .flip import (
-    OVER_CAP,
     FlipGraph,
     bfs_distance,
     bfs_witness,

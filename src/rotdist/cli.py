@@ -129,7 +129,7 @@ def cmd_distance(args) -> int:
     if method == "bfs":
         # no search over M ran; a NO proves the distance above k
         dist, seq = flip.bfs_witness(g, src, dst, cap=args.k)
-        yes = dist is not flip.OVER_CAP
+        yes = dist is not None
         dec = fpt.Decision(k=args.k, n=g.n, yes=yes, witness=tuple(seq) if yes else None,
                            lower_bound=dist if yes else args.k + 1, stats={})
     else:

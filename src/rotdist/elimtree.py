@@ -173,64 +173,43 @@ def validity_violations(g: Graph, t: ElimTree, limit: int = 20) -> list[str]:
     from the root to the visited vertex x in `path`, indexed by depth:
     the walk is a depth-first preorder, so every vertex visited between
     an ancestor of x and x lies below that ancestor and cannot overwrite
-    its entry.  A G-neighbour y of x is then a proper ancestor exactly
-    when path[depth[y]] == y, and the child of y whose subtree holds x
-    is path[depth[y] + 1].  An edge is found this way at most once, from
-    its lower end, so every G-edge joins an ancestor-descendant pair
-    exactly when g.m of them are found.
-    The messages, the first `limit` of them, are built only for an
-    invalid tree, by the same pass run again to collect the edges it
-    finds: the incomparable edges in sorted order, then the subtrees
-    with no edge to their parent, by parent.  A limit below 1
-    raises InvalidParameter, since it would hide every message.
+    its entry.  A G-neighbour y of x with depth[y] < depth[x] is then a
+    proper ancestor exactly when path[depth[y]] == y, and the child of y
+    whose subtree holds x is path[depth[y] + 1]; one with depth[y] ==
+    depth[x] is never comparable to x.  The pass meets every edge from
+    its deeper end, or from both ends when the depths are equal, so the
+    edges it puts in `incomparable` are exactly those that join no
+    ancestor-descendant pair, and a valid tree builds no message.
+    The messages, the first `limit` of them, are the incomparable edges
+    in sorted order, then the subtrees with no edge to their parent, by
+    parent.  A limit below 1 raises InvalidParameter, since it would
+    hide every message.
     """
     if limit < 1:
         raise InvalidParameter(f"limit must be at least 1, got {limit}")
     if t.n != g.n:
         return [f"tree has {t.n} vertices, graph has {g.n}"]
-    if len(t._walk()[0]) != t.n:
-        return ["parent vector contains a cycle"]
-    pairs, hit = _ancestor_pass(g, t)
-    if pairs == g.m and False not in hit:
-        return []
-    return _violation_messages(g, t, limit)
-
-
-def _ancestor_pass(g: Graph, t: ElimTree, comparable: set | None = None):
-    """The pass of validity_violations over an acyclic tree t: the
-    number of G-edges found to join an ancestor-descendant pair, and
-    for each vertex whether it is the root or its subtree has a G-edge
-    to its parent.  With `comparable`, each edge found is also added to
-    it as (smaller, larger)."""
     order, depth = t._walk()
+    if len(order) != t.n:
+        return ["parent vector contains a cycle"]
     adj = g._sorted
     path = [0] * t.n
     hit = [False] * t.n
     hit[t.root] = True
-    pairs = 0
+    incomparable: set[tuple[int, int]] = set()
     for x in order:
         d = depth[x]
         path[d] = x
         for y in adj[x]:
             dy = depth[y]
             if dy < d and path[dy] == y:
-                pairs += 1
                 hit[path[dy + 1]] = True
-                if comparable is not None:
-                    comparable.add((y, x) if y < x else (x, y))
-    return pairs, hit
-
-
-def _violation_messages(g: Graph, t: ElimTree, limit: int) -> list[str]:
-    """The messages of validity_violations for an acyclic tree t."""
-    out: list[str] = []
-    comparable: set[tuple[int, int]] = set()
-    hit = _ancestor_pass(g, t, comparable)[1]
-    for u, v in g.edges():
-        if (u, v) not in comparable:
-            out.append(f"edge ({u},{v}) joins incomparable vertices")
-            if len(out) >= limit:
-                return out
+            elif dy <= d:
+                incomparable.add((y, x) if y < x else (x, y))
+    if not incomparable and False not in hit:
+        return []
+    out = [f"edge ({u},{v}) joins incomparable vertices"
+           for u, v in sorted(incomparable)[:limit]]
     for v in range(t.n):
         # the messages of one parent follow the visiting order of the pass
         for c in reversed(t._children[v]):

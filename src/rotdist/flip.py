@@ -14,20 +14,7 @@ from .graphs import Graph, write_json
 TreeKey = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 10
-BFS_CAP_REQUIRED_ABOVE = 12
-
-
-class _OverCap:
-    """Singleton returned when a capped search gives up."""
-
-    def __repr__(self) -> str:
-        return "OVER_CAP"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-OVER_CAP = _OverCap()
+BFS_MAX_N = 12
 
 
 def neighbors(g: Graph, t: ElimTree) -> list[tuple[RotationEdge, ElimTree]]:
@@ -99,19 +86,20 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> FlipGraph:
 
 def bfs_witness(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
     """(distance, shortest rotation sequence) from t to t2 over
-    `neighbors`, or (OVER_CAP, None) if above the given cap.  `pred` maps
+    `neighbors`, or (None, None) if above the given cap.  `pred` maps
     each tree reached to its predecessor and rotation (None at t), and
-    the search stops after the node whose neighbours reach t2."""
-    if t.n > BFS_CAP_REQUIRED_ABOVE and cap is None:
-        raise InstanceTooLarge(
-            f"n={t.n} > {BFS_CAP_REQUIRED_ABOVE}: bfs search requires an explicit cap")
+    the search stops after the node whose neighbours reach t2.  Refuses
+    n > BFS_MAX_N whatever the cap: the trees within c rotations number
+    up to about n^c, and each is kept."""
+    if t.n > BFS_MAX_N:
+        raise InstanceTooLarge(f"refusing bfs search for n={t.n} > {BFS_MAX_N}")
     target = t2.parent
     pred: dict[TreeKey, tuple[TreeKey, RotationEdge] | None] = {t.parent: None}
     frontier = [t]
     depth = 0
     while target not in pred:
         if not frontier or (cap is not None and depth >= cap):
-            return OVER_CAP, None
+            return None, None
         depth += 1
         nxt = []
         for cur in frontier:
@@ -135,7 +123,7 @@ def bfs_witness(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
 
 
 def bfs_distance(g: Graph, t: ElimTree, t2: ElimTree, cap: int | None = None):
-    """Exact rotation distance, or OVER_CAP if above the given cap."""
+    """Exact rotation distance, or None if above the given cap."""
     return bfs_witness(g, t, t2, cap)[0]
 
 

@@ -221,28 +221,20 @@ class TypeTable:
 
     A record is (want-parent, trace, child summary), where the child
     summary lists (child type id, count capped at k+1) pairs sorted by
-    id; leaves get an empty summary.  vertex_types holds the id assigned
-    to each classified vertex.
+    id; leaves get an empty summary.  `records` maps each record to its
+    id, in id order, and vertex_types holds the id assigned to each
+    classified vertex.
     """
 
     def __init__(self):
-        self._records: list[tuple] = []
-        self._ids: dict[tuple, TypeId] = {}
+        self.records: dict[tuple, TypeId] = {}
         self.vertex_types: dict[int, TypeId] = {}
 
     def intern(self, record: tuple) -> TypeId:
-        tid = self._ids.get(record)
-        if tid is None:
-            tid = len(self._records)
-            self._records.append(record)
-            self._ids[record] = tid
-        return tid
-
-    def record_of(self, tid: TypeId) -> tuple:
-        return self._records[tid]
+        return self.records.setdefault(record, len(self.records))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.records)
 
 
 def compute_types(g: Graph, t: ElimTree, t2: ElimTree, z: Component, k: int,
@@ -368,21 +360,16 @@ def compute_marking(g: Graph, t: ElimTree, t2: ElimTree, k: int,
         report = classify_bad(t, t2)
     bcb = compute_bcb(t, report, k)
     comps = components(t, bcb.vertices)
-    dec = Decision(k=k, n=g.n, report=report, ball=bcb, comps=comps)
     table = TypeTable()
     premarked: set[int] = set()
     marked: set[int] = set()
     for z in comps:
         compute_types(g, t, t2, z, k, table)
         pz = premark(z, table.vertex_types, k)
-        mz = mark(z, pz, report)
         premarked |= pz
-        marked |= mz
-        dec.marked_per_component[z.zroot] = mz
-    dec.table = table
-    dec.premarked = frozenset(premarked)
-    dec.marked = frozenset(marked)
-    return dec
+        marked |= mark(z, pz, report)
+    return Decision(k=k, n=g.n, report=report, ball=bcb, comps=comps, table=table,
+                    premarked=frozenset(premarked), marked=frozenset(marked))
 
 
 @dataclass
@@ -390,7 +377,7 @@ class Decision:
     """Outcome of fpt_decide plus everything computed along the way.
 
     compute_marking fills the pipeline fields, from `report` to
-    `marked_per_component`; fpt_decide and its search set `yes` and
+    `marked`; fpt_decide and its search set `yes` and
     `witness`.  A decision settled by fpt_decide's certificate ladder
     has at most the report of them; `early_no` names the NO of the
     count certificate or of k = 0.  `lower_bound` is the least
@@ -410,7 +397,6 @@ class Decision:
     table: TypeTable | None = None
     premarked: frozenset[int] = frozenset()
     marked: frozenset[int] = frozenset()
-    marked_per_component: dict[int, frozenset[int]] = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {"nodes_expanded": 0, "bound_cuts": 0})
 
     def to_json_dict(self) -> dict:
@@ -439,8 +425,8 @@ class Decision:
             "type_count": len(self.table) if self.table else 0,
             "premarked": sorted(self.premarked),
             "marked": sorted(self.marked),
-            "marked_per_component": {str(z): sorted(m)
-                                     for z, m in self.marked_per_component.items()},
+            "marked_per_component": {str(z.zroot): sorted(self.marked & z.vertices)
+                                     for z in self.comps},
             "search": dict(self.stats),
         }
 
@@ -533,12 +519,12 @@ def fpt_decide(g: Graph, t: ElimTree, t2: ElimTree, k: int) -> Decision:
     dec = Decision(k=k, n=g.n, report=report, lower_bound=h0)
     if h0 > k:
         return dec
-    if _search(g, t, dec, report.bad, index, h0, h0):
+    if _search(g, t, dec, report.bad, index, h0):
         return dec
     stats = dec.stats
     dec = compute_marking(g, t, t2, k, report)
     dec.lower_bound, dec.stats = h0, stats
-    _search(g, t, dec, dec.marked, _tube_index(t, t2, below | dec.marked), h0, k)
+    _search(g, t, dec, dec.marked, _tube_index(t, t2, below | dec.marked), k)
     return dec
 
 
@@ -691,15 +677,16 @@ def _run(p: int, c: int, bits: int) -> int:
 
 
 def _search(g: Graph, t: ElimTree, dec: Decision, movable: frozenset[int],
-            index, h0: int, last: int) -> bool:
+            index, last: int) -> bool:
     """Iterative-deepening search over rotations with both ends in
-    movable, cut by the tube lower bound, at budgets `dec.lower_bound`
-    to last; on success it sets `dec.yes` and a shortest `dec.witness`
-    and returns True.  Its counters add to `dec.stats`.
+    movable, cut by the tube lower bound, at budgets h0 to last; on
+    success it sets `dec.yes` and a shortest `dec.witness` and returns
+    True.  Its counters add to `dec.stats`.
 
     index is the `_tube_index` of t against t2, kept over movable and
-    `_below_lca`, and h0 the `_tube_bound` fpt_decide counted; fpt_decide
-    has ruled out one rotation, so the deepening starts at 2 or more.
+    `_below_lca`, and h0 is `dec.lower_bound`, the `_tube_bound`
+    fpt_decide counted; fpt_decide has ruled out one rotation, so the
+    deepening starts at 2 or more.
     The search walks one mutable copy of t, applying each rotation in
     place and undoing it by the reverse rotation, so a node costs the
     rotation's touch test, not a copy of the tree.
@@ -761,7 +748,8 @@ def _search(g: Graph, t: ElimTree, dec: Decision, movable: frozenset[int],
             sums[v] = sv
         return False
 
-    for budget in range(dec.lower_bound, last + 1):
+    h0 = dec.lower_bound
+    for budget in range(h0, last + 1):
         if dfs(budget, h0):
             dec.yes, dec.witness = True, tuple(seq)
             break

@@ -6,7 +6,6 @@ import itertools
 import random
 
 from rotdist import (
-    OVER_CAP,
     ROOT,
     BadnessReport,
     ElimTree,
@@ -115,7 +114,7 @@ def enumerate_orderings(g: Graph) -> set[tuple[int, ...]]:
 
 def restricted_bfs_distance(g: Graph, t: ElimTree, t2: ElimTree, allowed, cap=None):
     """The length of a shortest rotation sequence from t to t2 whose every
-    rotated edge has both ends in `allowed`, or OVER_CAP when there is
+    rotated edge has both ends in `allowed`, or None when there is
     none within the cap (or at all).  A breadth-first search of its own
     over `neighbors`, apart from the one in `rotdist.flip`."""
     allowed = frozenset(allowed)
@@ -137,7 +136,7 @@ def restricted_bfs_distance(g: Graph, t: ElimTree, t2: ElimTree, allowed, cap=No
                     seen.add(key)
                     nxt.append(t3)
         frontier = nxt
-    return OVER_CAP
+    return None
 
 
 def reference_search(g: Graph, t: ElimTree, t2: ElimTree, marked, k: int):

@@ -24,7 +24,6 @@ from helpers import (
     tubes,
 )
 from rotdist import (
-    OVER_CAP,
     apply_sequence,
     classify_bad,
     compute_bcb,
@@ -124,7 +123,7 @@ def sweep():
                             else:
                                 allowed = compute_bcb(ta, classify_bad(ta, tb), k).vertices
                             rd = restricted_bfs_distance(g, ta, tb, allowed, cap=k)
-                            if rd is OVER_CAP or rd > k:
+                            if rd is None or rd > k:
                                 res["restricted_failures"].append((g.edges(), ka, kb, k, d))
     return res
 

@@ -262,6 +262,21 @@ def test_enumerate_cap_exit_code(tmp_path, capsys):
     assert "INSTANCE_TOO_LARGE" in capsys.readouterr().err
 
 
+def test_distance_bfs_refuses_large_n(tmp_path, capsys):
+    # -k is the BFS's cap, and no cap lifts its limit on n; the fpt
+    # method answers the same pair
+    g = generate("star", 13)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("graph", "a", "b")}
+    save_graph(g, paths["graph"])
+    save_tree(from_ordering(g, list(range(13))), paths["a"])
+    save_tree(from_ordering(g, list(range(12, -1, -1))), paths["b"])
+    args = ["distance", "-g", paths["graph"], "-s", paths["a"], "-t", paths["b"], "-k", "3"]
+    assert main(args + ["--method", "bfs"]) == 4
+    assert "INSTANCE_TOO_LARGE" in capsys.readouterr().err
+    assert main(args + ["--method", "fpt"]) == 1
+    assert "verdict: NO" in capsys.readouterr().out
+
+
 def test_diameter_command(p3, capsys):
     assert main(["diameter", "-g", p3["graph"]]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -149,6 +149,10 @@ def test_validate_examples():
 def test_validate_diagnostics():
     problems = validity_violations(P3, tree([-1, 0, 0]))
     assert any("(1,2)" in p for p in problems)
+    # 1 and 2 sit at one depth, so the pass meets (1,2) from both ends
+    assert problems == ["edge (1,2) joins incomparable vertices",
+                        "subtree at 2 has no edge to its parent 0"]
+    assert validity_violations(P3, tree([-1, 0, 0]), 1) == problems[:1]
 
 
 def test_validity_limit_below_one_raises():
@@ -215,10 +219,26 @@ def _climb(parent, v: int) -> int:
     return steps
 
 
+def _incomparable_depths(g, parent) -> set[bool]:
+    """For an acyclic parent vector on g's vertices: whether each
+    incomparable G-edge joins two vertices of equal depth."""
+    def ancestors(v):
+        out = set()
+        while v != -1:
+            out.add(v)
+            v = parent[v]
+        return out
+    return {_climb(parent, u) == _climb(parent, v) for u, v in g.edges()
+            if u not in ancestors(v) and v not in ancestors(u)}
+
+
 def test_validity_matches_definition_and_reference():
     rng = random.Random(11)
     seen = {"valid": 0, "cycle": 0, "vertices, graph has": 0,
             "incomparable": 0, "no edge to its parent": 0}
+    # trees with an incomparable edge at equal depths, which the pass
+    # meets from both ends, and at different depths, met from one
+    branches = {True: 0, False: 0}
     for i in range(2400):
         n = rng.randint(1, 9)
         g = generate("random_connected", n, seed=i, p=rng.choice((0.0, 0.15, 0.4)))
@@ -227,15 +247,18 @@ def test_validity_matches_definition_and_reference():
         got = validity_violations(g, t)
         assert (not got) == is_elimination_tree(g, parent), (g.edges(), parent, got)
         full = reference_violations(g, ElimTree(parent), limit=10**6)
-        for limit in (20, 3):
+        for limit in (20, 3, 1):
             assert validity_violations(g, ElimTree(parent), limit) == \
                 reference_violations(g, ElimTree(parent), limit), (g.edges(), parent, limit)
         if "cycle" not in " ".join(full) and len(parent) == n:
             assert [t.depth(v) for v in range(n)] == [_climb(parent, v) for v in range(n)]
+            for equal in _incomparable_depths(g, parent):
+                branches[equal] += 1
         seen["valid"] += not full
         for key in seen:
             seen[key] += any(key in msg for msg in full)
     assert min(seen.values()) >= 100, seen
+    assert min(branches.values()) >= 50, branches
 
 
 def test_validity_of_deep_trees():

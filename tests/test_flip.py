@@ -13,7 +13,6 @@ from helpers import (
     tubes,
 )
 from rotdist import (
-    OVER_CAP,
     InstanceTooLarge,
     bfs_distance,
     bfs_witness,
@@ -104,12 +103,18 @@ def test_bfs_distance_basics():
 def test_bfs_distance_cap():
     a = chain(K3, [0, 1, 2])
     b = chain(K3, [2, 1, 0])
-    assert bfs_distance(K3, a, b, cap=2) is OVER_CAP
+    assert bfs_distance(K3, a, b, cap=2) is None
     assert bfs_distance(K3, a, b, cap=3) == 3
     with pytest.raises(InstanceTooLarge):
         bfs_distance(generate("path", 13),
                      chain(generate("path", 13), list(range(13))),
                      chain(generate("path", 13), list(range(12, -1, -1))))
+    # no cap lifts the limit: the trees within a few rotations of a
+    # star grow about as a power of n
+    star = generate("star", 13)
+    with pytest.raises(InstanceTooLarge):
+        bfs_witness(star, chain(star, list(range(13))), chain(star, list(range(12, -1, -1))),
+                    cap=3)
 
 
 def test_bfs_witness_is_shortest_and_replays():
@@ -132,7 +137,7 @@ def test_bfs_witness_sequences_are_pinned():
     a = from_parent_vector([2, 0, -1, 4, 2])
     b = from_parent_vector([1, -1, 3, 1, 3])
     assert bfs_witness(p5, a, b) == (4, [(0, 1), (2, 1), (4, 3), (2, 3)])
-    assert bfs_witness(p5, a, b, cap=3) == (OVER_CAP, None)
+    assert bfs_witness(p5, a, b, cap=3) == (None, None)
 
 
 def test_distance_is_a_metric_on_small_flip_graphs():
@@ -196,7 +201,7 @@ def test_restricted_distance():
     a = chain(P3, [0, 1, 2])
     star1 = from_parent_vector([1, -1, 1])
     # the only way to lift 1 over 0 uses vertex 0
-    assert restricted_bfs_distance(P3, a, star1, {1, 2}, cap=3) is OVER_CAP
+    assert restricted_bfs_distance(P3, a, star1, {1, 2}, cap=3) is None
     assert restricted_bfs_distance(P3, a, star1, {0, 1}, cap=1) == 1
     assert restricted_bfs_distance(P3, a, star1, {0, 1, 2}) == 1
 

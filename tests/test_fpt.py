@@ -21,7 +21,6 @@ from helpers import (
     type_of,
 )
 from rotdist import (
-    OVER_CAP,
     SAME,
     WANT_ROOT,
     BadnessReport,
@@ -165,7 +164,12 @@ def pass_traces(g, t, z):
     """The trace of every component vertex, from the one-pass typing."""
     table = TypeTable()
     compute_types(g, t, t, z, 1, table)
-    return {v: table.record_of(tid)[1] for v, tid in table.vertex_types.items()}
+    return {v: list(table.records)[tid][1] for v, tid in table.vertex_types.items()}
+
+
+def marked_per_component(dec):
+    """The marks of each component, by zroot, as the dump lists them."""
+    return {z.zroot: dec.marked & z.vertices for z in dec.comps}
 
 
 def test_trace_values_on_chain():
@@ -214,12 +218,12 @@ def test_type_records_for_star_instance():
     z = whole_component(t)
     table = TypeTable()
     compute_types(g, t, t2, z, 2, table)
-    leaf_same = table.record_of(table.vertex_types[1])
-    leaf_root = table.record_of(table.vertex_types[2])
+    leaf_same = list(table.records)[table.vertex_types[1]]
+    leaf_root = list(table.records)[table.vertex_types[2]]
     assert leaf_same == (SAME, (1,), ())
     assert leaf_root == (WANT_ROOT, (1,), ())
     assert table.vertex_types[1] == table.vertex_types[3] == table.vertex_types[4]
-    center = table.record_of(table.vertex_types[0])
+    center = list(table.records)[table.vertex_types[0]]
     assert center[0] == 2          # wants 2 as its parent
     assert center[1] == ()         # zroot has an empty trace
     assert dict(center[2]) == {table.vertex_types[1]: 3, table.vertex_types[2]: 1}
@@ -233,7 +237,7 @@ def test_type_child_counts_cap_at_k_plus_one():
         t2 = rotate(g, t, (0, 2))
         table = TypeTable()
         compute_types(g, t, t2, whole_component(t), 2, table)
-        records[m] = table.record_of(table.vertex_types[0])
+        records[m] = list(table.records)[table.vertex_types[0]]
     # 3 and 7 same-type children both read as "at least k+1 = 3"
     assert records[4] == records[8]
 
@@ -246,7 +250,7 @@ def test_type_child_counts_below_cap_distinguish():
         t2 = rotate(g, t, (0, m))
         table = TypeTable()
         compute_types(g, t, t2, whole_component(t), 2, table)
-        records[m] = table.record_of(table.vertex_types[0])
+        records[m] = list(table.records)[table.vertex_types[0]]
     assert records[2] != records[3]
 
 
@@ -272,15 +276,18 @@ def _check_marking(g, t, t2, k):
         premarked |= pz
         marked[z.zroot] = mark(z, pz, report)
     ref, ref_premarked, ref_marked = reference_marking(g, t, t2, k)
-    records = [table.record_of(i) for i in range(len(table))]
-    assert records == [ref.record_of(i) for i in range(len(ref))]
+    # a record's id is its place in the map
+    assert list(table.records.values()) == list(range(len(table)))
+    records = [list(table.records)[i] for i in range(len(table))]
+    assert records == [list(ref.records)[i] for i in range(len(ref))]
     assert list(table.vertex_types.items()) == list(ref.vertex_types.items())
     assert (premarked, marked) == (ref_premarked, ref_marked)
     dec = compute_marking(g, t, t2, k)
     if dec.early_no is None:
-        assert [dec.table.record_of(i) for i in range(len(dec.table))] == records
+        assert [list(dec.table.records)[i] for i in range(len(dec.table))] == records
         assert dec.table.vertex_types == table.vertex_types
-        assert dec.premarked == premarked and dec.marked_per_component == marked
+        assert dec.premarked == premarked and marked_per_component(dec) == marked
+        assert dec.marked == frozenset().union(*marked.values())
     return dec
 
 
@@ -449,7 +456,7 @@ def test_compute_marking_only_marks():
     assert len(dec.table) == 19 and set(dec.table.vertex_types) == dec.ball.vertices
     # on a path no two siblings share a type, so the whole ball is marked
     assert dec.premarked == dec.marked == dec.ball.vertices
-    assert dec.marked_per_component == {0: frozenset(range(10)), 16: frozenset(range(16, 25))}
+    assert marked_per_component(dec) == {0: frozenset(range(10)), 16: frozenset(range(16, 25))}
 
 
 def test_compute_marking_leaves_the_verdict_to_the_search():
@@ -457,7 +464,7 @@ def test_compute_marking_leaves_the_verdict_to_the_search():
     assert dec.early_no is None
     assert not dec.yes and dec.witness is None
     assert dec.stats == {"nodes_expanded": 0, "bound_cuts": 0}
-    assert dec.marked == {0, 1, 2} and dec.marked_per_component == {0: {0, 1, 2}}
+    assert dec.marked == {0, 1, 2} and marked_per_component(dec) == {0: {0, 1, 2}}
     assert len(dec.table) == 3
 
 
@@ -1040,7 +1047,7 @@ def test_search_matches_restricted_bfs():
         # have no M of their own
         marked = compute_marking(g, t, t2, k).marked if t != t2 else dec.marked
         d = restricted_bfs_distance(g, t, t2, marked, cap=k)
-        if d is OVER_CAP:
+        if d is None:
             assert not dec.yes
             continue
         assert dec.yes and len(dec.witness) == d

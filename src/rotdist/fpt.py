@@ -10,10 +10,11 @@ vertex degrees, and an iterative-deepening search over rotations with
 both endpoints in M decides the distance bound exactly.
 
 The bad vertices are read off the two parent vectors alone.  Each
-component is walked once, and keeps its members' child lists; typing,
-premarking, marking and the diameter in the --explain dump read those
-lists.  Types are computed in one bottom-up pass per component, deepest
-level first, with depths from the source tree's one kept walk.  A
+component is walked once, down from its zroot level by level, and keeps
+its levels and its members' child lists; typing, premarking, marking and
+the diameter in the --explain dump read those and walk nothing again.
+Types are computed in one bottom-up pass per component over its levels,
+deepest first, with depths from the source tree's one kept walk.  A
 vertex's trace is read off an integer mask of the ancestor depths its
 subtree touches, built from its own G-neighbours, its component
 children's masks and one walk of each child subtree hanging outside
@@ -48,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .elimtree import ROOT, ElimTree, MutableTree, RotationEdge, moved_children
@@ -143,23 +145,21 @@ def compute_bcb(t: ElimTree, report: BadnessReport, k: int) -> Ball:
 class Component:
     """One connected piece of the ball, as a subtree of t.
 
-    zroot is the unique member closest to the root of t; every other
-    member lies strictly below it.  kids maps each member with children
-    inside the component to those children, in ascending order.
+    levels[d] lists the members d below zroot, ascending, so zroot is
+    levels[0][0], the unique member closest to the root of t.  kids maps
+    each member with children inside the component to those children,
+    in ascending order.
     """
 
-    __slots__ = ("vertices", "zroot", "tree", "kids")
+    __slots__ = ("levels", "vertices", "zroot", "tree", "kids")
 
-    def __init__(self, tree: ElimTree, vertices: frozenset[int], zroot: int,
+    def __init__(self, tree: ElimTree, levels: list[list[int]],
                  kids: dict[int, tuple[int, ...]]):
         self.tree = tree
-        self.vertices = vertices
-        self.zroot = zroot
+        self.levels = levels
+        self.vertices = frozenset().union(*levels)
+        self.zroot = levels[0][0]
         self.kids = kids
-
-    def children(self, v: int) -> tuple[int, ...]:
-        """Children of v that stay inside the component."""
-        return self.kids.get(v, ())
 
     def __repr__(self) -> str:
         return f"Component(zroot={self.zroot}, size={len(self.vertices)})"
@@ -168,41 +168,31 @@ class Component:
 def components(t: ElimTree, ball_vertices: Iterable[int]) -> list[Component]:
     """Connected components of the ball inside t, sorted by zroot.
 
-    One walk per component finds its members, its zroot (the member
-    whose parent lies outside the ball) and each member's children
-    inside the ball, which are all in its component.
+    The zroots are the ball vertices whose parent lies outside the ball
+    (the root sentinel never lies inside).  From each, in ascending
+    order, one walk goes down level by level through the children
+    inside the ball, and the component keeps its levels and each
+    member's children inside the ball.
     """
     inside = set(ball_vertices)
     parent, children = t.parent, t._children
     out = []
-    seen: set[int] = set()
-    for start in inside:
-        if start in seen:
-            continue
-        comp = {start}
+    for zroot in sorted(v for v in inside if parent[v] not in inside):
         kids: dict[int, tuple[int, ...]] = {}
-        zroot = start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            p = parent[u]
-            if p == ROOT or p not in inside:
-                zroot = u
-            elif p not in comp:
-                comp.add(p)
-                stack.append(p)
-            below = children[u]
-            if below:
-                inner = [c for c in below if c in inside]
-                if inner:
-                    kids[u] = below if len(inner) == len(below) else tuple(inner)
-                    for c in inner:
-                        if c not in comp:
-                            comp.add(c)
-                            stack.append(c)
-        seen |= comp
-        out.append(Component(t, frozenset(comp), zroot, kids))
-    out.sort(key=lambda z: z.zroot)
+        levels = [[zroot]]
+        while True:
+            nxt = []
+            for u in levels[-1]:
+                if children[u]:
+                    inner = tuple([c for c in children[u] if c in inside])
+                    if inner:
+                        kids[u] = inner
+                        nxt += inner
+            if not nxt:
+                break
+            nxt.sort()
+            levels.append(nxt)
+        out.append(Component(t, levels, kids))
     return out
 
 
@@ -249,21 +239,15 @@ def compute_types(g: Graph, t: ElimTree, t2: ElimTree, z: Component, k: int,
     G-neighbours above it (in an elimination tree each is an ancestor),
     of its component children's masks less its own bit, and of one walk
     of its child subtrees outside the component, stopped once every bit
-    is set.  Levels are visited deepest first and ascending within a
-    level, so records are interned in (-depth, vertex) order.
+    is set.  The component's levels are visited deepest first and
+    ascending within a level, so records are interned in (-depth, vertex)
+    order.
     """
     depth = t._walk()[1]
     zd = depth[z.zroot]
     tkids, adj = t._children, g._sorted
-    kids, verts, vertex_types = z.kids, z.vertices, table.vertex_types
+    kids, verts, levels, vertex_types = z.kids, z.vertices, z.levels, table.vertex_types
     cap = k + 1
-    levels = [[z.zroot]]
-    while True:
-        nxt = [c for v in levels[-1] for c in kids.get(v, ())]
-        if not nxt:
-            break
-        nxt.sort()
-        levels.append(nxt)
     masks: dict[int, int] = {}
     for d in range(len(levels) - 1, -1, -1):
         top = zd + d
@@ -323,21 +307,17 @@ def premark(z: Component, types: Mapping[int, TypeId], k: int) -> frozenset[int]
 def mark(z: Component, premarked: frozenset[int], report: BadnessReport) -> frozenset[int]:
     """Grow the marked set top-down, then close over bad vertices.
 
-    Starting from zroot, a premarked vertex joins when its component
-    parent has joined.  Afterwards every children-bad vertex of the
-    component joins along with all its component ancestors, whether or
-    not they were premarked.
+    zroot joins, and then, one level at a time from the top, a premarked
+    vertex joins when its parent has joined.  Afterwards every
+    children-bad vertex of the component joins along with all its
+    component ancestors, whether or not they were premarked.
     """
-    kids = z.kids
-    mz = {z.zroot}
-    stack = [z.zroot]
-    while stack:
-        v = stack.pop()
-        for c in kids.get(v, ()):
-            if c in premarked and c not in mz:
-                mz.add(c)
-                stack.append(c)
     parent = z.tree.parent
+    mz = {z.zroot}
+    for level in z.levels[1:]:
+        for v in level:
+            if v in premarked and parent[v] in mz:
+                mz.add(v)
     for b in report.children_bad:
         if b in z.vertices:
             cur = b
@@ -432,15 +412,13 @@ class Decision:
 
 
 def _component_diameter(z: Component) -> int:
-    """Edges on the longest path inside the component: one bottom-up
-    pass that joins, at each vertex, its two tallest child heights."""
+    """Edges on the longest path inside the component: one pass over
+    the levels, deepest first, that joins, at each vertex, its two
+    tallest child heights."""
     kids = z.kids
-    order = [z.zroot]
-    for v in order:
-        order.extend(kids.get(v, ()))
     height: dict[int, int] = {}
     best = 0
-    for v in reversed(order):
+    for v in chain.from_iterable(reversed(z.levels)):
         first = second = 0
         for c in kids.get(v, ()):
             h = height[c] + 1

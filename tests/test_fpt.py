@@ -143,9 +143,55 @@ def test_components_split_and_order():
     assert [z.zroot for z in comps] == [0, 5]
     assert comps[0].vertices == {0, 1, 2}
     assert comps[1].vertices == {5, 6}
-    assert comps[0].children(1) == (2,)
-    assert comps[1].children(6) == ()
+    assert comps[0].kids.get(1, ()) == (2,)
+    assert comps[1].kids.get(6, ()) == ()
     assert 2 in comps[0].vertices and 2 not in comps[1].vertices
+    # the kept walk against the definition: the components are the
+    # classes of a union-find over the ball's in-ball parent edges.  The
+    # walk reads the tree alone, so random rooted trees stand in for
+    # elimination trees: they branch more, so that many levels hold the
+    # children of several members
+    rng = random.Random(24)
+    split = deep = mixed = 0
+    for trial in range(400):
+        n = rng.randrange(1, 30)
+        order = list(range(n))
+        rng.shuffle(order)
+        parent = [-1] * n
+        for i in range(1, n):
+            parent[order[i]] = order[rng.randrange(i)]
+        t = ElimTree(parent)
+        share = rng.choice([0.3, 0.7, 1.0])
+        ball = [v for v in range(n) if rng.random() < share]
+        find = {v: v for v in ball}
+
+        def root(v):
+            while find[v] != v:
+                v = find[v]
+            return v
+
+        for v in ball:
+            if t.parent[v] in find:
+                find[root(v)] = root(t.parent[v])
+        classes: dict[int, set[int]] = {}
+        for v in ball:
+            classes.setdefault(root(v), set()).add(v)
+        ref = sorted((min(c, key=t.depth), c) for c in classes.values())
+        comps = components(t, ball)
+        assert [(z.zroot, z.vertices) for z in comps] == ref
+        for z in comps:
+            zd = t.depth(z.zroot)
+            inner = {u: tuple(c for c in t.children(u) if c in z.vertices) for u in z.vertices}
+            assert z.kids == {u: kids for u, kids in inner.items() if kids}
+            assert all(list(kids) == sorted(kids) for kids in z.kids.values())
+            assert z.levels == [sorted(v for v in z.vertices if t.depth(v) - zd == d)
+                                for d in range(len(z.levels))]
+            assert all(t.parent[v] in z.levels[d - 1]
+                       for d in range(1, len(z.levels)) for v in z.levels[d])
+            deep += len(z.levels) >= 3
+            mixed += sum(len({t.parent[v] for v in level}) >= 2 for level in z.levels)
+        split += len(comps) >= 2
+    assert split > 100 and deep > 100 and mixed > 100
 
 
 def test_check_early_no():
@@ -270,7 +316,7 @@ def _check_marking(g, t, t2, k):
     premarked, marked = set(), {}
     for z in components(t, compute_bcb(t, report, k).vertices):
         assert z.zroot == min(z.vertices, key=lambda v: (t.depth(v), v))
-        assert all(z.children(v) == tuple(component_children(t, z, v)) for v in z.vertices)
+        assert all(z.kids.get(v, ()) == tuple(component_children(t, z, v)) for v in z.vertices)
         compute_types(g, t, t2, z, k, table)
         pz = premark(z, table.vertex_types, k)
         premarked |= pz
@@ -1056,3 +1102,31 @@ def test_search_matches_restricted_bfs():
         assert dec.marked == (frozenset() if dec.ball is None else marked)
         assert dec.ball is not None or len(dec.witness) == dec.lower_bound
         assert all(u in marked and v in marked for u, v in dec.witness)
+
+
+def test_decide_matches_bfs_where_the_marking_runs():
+    # at n = 7-9, targets a few rotations away reach the marking often
+    # enough to check its search against the BFS: the verdict at
+    # k = d - 1 and k = d, and on YES a shortest witness inside M
+    rng = random.Random(25)
+    marked_runs = 0
+    for trial in range(2000):
+        n = rng.randrange(7, 10)
+        g = generate("random_connected", n, seed=160_000 + trial, p=rng.choice([0.1, 0.3, 0.6]))
+        t = t2 = random_tree(g, rng)
+        for _ in range(rng.randrange(2, 7)):
+            t2 = rotate(g, t2, random_tree_edge(t2, rng))
+        d = bfs_witness(g, t, t2, cap=6)[0]
+        for k in (d - 1, d):
+            if k < 0:
+                continue
+            dec = fpt_decide(g, t, t2, k)
+            marked_runs += dec.ball is not None
+            assert dec.yes == (d <= k), (g.edges(), t, t2, k)
+            if dec.yes:
+                assert len(dec.witness) == d
+                assert apply_sequence(g, t, dec.witness) == t2
+                if d:
+                    marked = compute_marking(g, t, t2, k).marked
+                    assert all(u in marked and v in marked for u, v in dec.witness)
+    assert marked_runs >= 300
